@@ -175,7 +175,7 @@ void BM_PlanManyBatch(benchmark::State& state) {
   // fingerprinting and the CoreCover "no rewriting" analysis).
   ViewPlanner planner(w.base[0].views, w.view_dbs[0], options);
   for (auto _ : state) {
-    const auto results = planner.PlanMany(batch, CostModel::kM2);
+    const auto results = planner.PlanMany(batch, {.model = CostModel::kM2});
     benchmark::DoNotOptimize(results.size());
   }
   state.counters["threads"] = static_cast<double>(threads);
@@ -199,7 +199,7 @@ void DumpObservability() {
                       BenchOptions(/*enable_cache=*/true));
   benchmark::DoNotOptimize(planner.Plan(w.base[0].query, CostModel::kM2));
   const auto explanation =
-      planner.Explain(w.variants[0][0], CostModel::kM2);
+      planner.Explain(w.variants[0][0], {.model = CostModel::kM2});
   std::fprintf(stderr, "\n--- sample EXPLAIN (warm cache) ---\n%s",
                explanation.ToText().c_str());
   std::fprintf(stderr, "\n--- metrics snapshot ---\n%s",

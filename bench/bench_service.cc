@@ -91,7 +91,8 @@ void BM_ServicePlan(benchmark::State& state) {
   options.num_workers = 1;
   PlanningService service(&planner, options);
   for (auto _ : state) {
-    const auto response = service.Plan(setup.workload.query, CostModel::kM2);
+    const auto response =
+        service.Plan({setup.workload.query, {.model = CostModel::kM2}});
     benchmark::DoNotOptimize(response.status);
   }
   service.Shutdown();

@@ -207,7 +207,6 @@ int main(int argc, char** argv) {
 
   // Everything below consumes the one unified request-options struct.
   const ResourceLimits budget = request_options.limits();
-  const CostModel model = request_options.model;
 
   std::string text;
   if (path != nullptr) {
@@ -516,13 +515,13 @@ int main(int argc, char** argv) {
     ViewPlanner::Options planner_options;
     planner_options.core_cover = options;
     planner_options.enable_cache = enable_cache;
-    planner_options.budget = budget;
     ViewPlanner planner(views, MaterializeViews(views, base),
                         planner_options);
     MemoryTraceSink sink;
-    TraceSink* const sink_ptr = trace ? &sink : nullptr;
+    const TraceContext trace_context{trace ? &sink : nullptr};
     if (explain_mode != ExplainMode::kOff) {
-      const auto explanation = planner.Explain(query, model, sink_ptr);
+      const auto explanation =
+          planner.Explain(query, request_options, trace_context);
       if (explain_mode == ExplainMode::kJson) {
         std::printf("%s\n", explanation.ToJson().c_str());
       } else {
@@ -534,7 +533,7 @@ int main(int argc, char** argv) {
       if (!explanation.ok()) return 2;
       return 0;
     }
-    const auto plan = planner.Plan(query, model, sink_ptr);
+    const auto plan = planner.Plan(query, request_options, trace_context);
     if (trace) {
       std::fprintf(stderr, "%s", sink.ToText().c_str());
     }

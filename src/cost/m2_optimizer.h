@@ -23,16 +23,25 @@ struct M2OptimizationResult {
   PhysicalPlan plan;       // Best order, no drop annotations.
   size_t cost = 0;         // M2 cost of the best order.
   size_t subsets_costed = 0;  // Number of distinct IR sizes measured.
-  // True when the thread's ResourceGovernor stopped the DP early; the plan
-  // is then the identity order with cost SIZE_MAX (worst possible), so a
-  // budget-starved candidate loses every cost comparison but never crashes.
+  // True when the thread's ResourceGovernor stopped the search early; the
+  // plan is then the identity order with cost SIZE_MAX (worst possible), so
+  // a budget-starved candidate loses every cost comparison but never
+  // crashes.
   bool aborted = false;
+  // True when the rewriting was wider than kMaxM2DpSubgoals, so `plan` is a
+  // greedy left-deep order rather than the optimum.
+  bool greedy = false;
 };
 
-// Exact M2-optimal order for `rewriting` against `view_db`. The rewriting
-// must have at most 20 subgoals (2^n subset DP). With an active `trace`,
-// emits an "optimize_m2" span recording the chosen cost and the number of
-// subsets costed.
+// Widest rewriting the exact 2^n subset DP orders.
+inline constexpr size_t kMaxM2DpSubgoals = 20;
+
+// M2-optimal order for `rewriting` against `view_db`: exact for at most
+// kMaxM2DpSubgoals subgoals; wider rewritings get a greedy left-deep order
+// that appends, at each step, the subgoal with the cheapest step cost
+// (ties to the lowest index). With an active `trace`, emits an
+// "optimize_m2" span recording the chosen cost and the number of subsets
+// costed.
 M2OptimizationResult OptimizeOrderM2(const ConjunctiveQuery& rewriting,
                                      const Database& view_db,
                                      const TraceContext& trace = {});

@@ -1,7 +1,6 @@
 #include "planner/planner.h"
 
 #include <algorithm>
-#include <limits>
 #include <string_view>
 #include <unordered_map>
 #include <unordered_set>
@@ -83,6 +82,19 @@ void RecordBudgetMetrics(const BudgetExhaustion& exhaustion) {
         MetricsRegistry::Global().GetCounter("planner.deadline_exceeded");
     deadline->Increment();
   }
+}
+
+// The limits of each degradation-ladder rung: the grace work budget, plus
+// max(5 ms, deadline / 4) when the request has a deadline, so recovery
+// cannot turn a tight deadline into a long search.
+ResourceLimits GraceLimits(uint64_t work_budget,
+                           const PlanRequestOptions& request) {
+  ResourceLimits grace;
+  grace.work_limit = work_budget;
+  if (request.deadline_ms > 0) {
+    grace.deadline_ms = std::max(5.0, request.deadline_ms / 4);
+  }
+  return grace;
 }
 
 std::string ExhaustionMessage(const BudgetExhaustion& exhaustion,
@@ -330,68 +342,52 @@ std::shared_ptr<const ViewPlanner::ViewSnapshot> ViewPlanner::snapshot()
   return CurrentSnapshot();
 }
 
-bool ViewPlanner::CostAndPick(
-    const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const std::vector<ConjunctiveQuery>& rewritings,
-    const std::vector<Atom>& filter_atoms, PlanChoice* best,
-    size_t* winner_index, bool* winner_filtered, const TraceContext& trace,
-    std::vector<PlanExplanation::Candidate>* capture) const {
-  TraceSpan span(trace, "cost_and_pick");
+ViewPlanner::Pick ViewPlanner::CostAndPick(
+    const Call& call, const std::vector<ConjunctiveQuery>& rewritings,
+    const std::vector<Atom>& filter_atoms) const {
+  const ViewSnapshot& vs = call.vs;
+  const CostModel model = call.request.model;
+  std::vector<PlanExplanation::Candidate>* const capture =
+      call.explain != nullptr ? &call.explain->candidates : nullptr;
+  VBR_CHECK_MSG(!rewritings.empty(), "nothing to cost");
+  TraceSpan span(call.trace, "cost_and_pick");
   span.AddAttribute("candidates", static_cast<uint64_t>(rewritings.size()));
   const bool use_filters =
       options_.use_filters && model != CostModel::kM1 && !filter_atoms.empty();
-  best->model = model;
-  best->cost = std::numeric_limits<size_t>::max();
-  *winner_index = 0;
-  *winner_filtered = false;
-  bool found = false;
+  Pick best;
+  best.choice.model = model;
   for (size_t r = 0; r < rewritings.size(); ++r) {
     ConjunctiveQuery logical = rewritings[r];
     PhysicalPlan physical;
     size_t cost = 0;
     bool filtered = false;
-    switch (model) {
-      case CostModel::kM1: {
-        cost = CostM1(logical);
-        physical.rewriting = logical;
-        for (size_t i = 0; i < logical.num_subgoals(); ++i) {
-          physical.order.push_back(i);
-        }
-        break;
+    bool greedy = false;
+    if (use_filters) {
+      auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
+      filtered = !advice.filters_added.empty();
+      logical = std::move(advice.improved);
+    }
+    if (model == CostModel::kM1) {
+      cost = CostM1(logical);
+      physical.rewriting = logical;
+      for (size_t i = 0; i < logical.num_subgoals(); ++i) {
+        physical.order.push_back(i);
       }
-      case CostModel::kM2: {
-        if (use_filters) {
-          auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
-          filtered = !advice.filters_added.empty();
-          logical = std::move(advice.improved);
-        }
-        const auto m2 =
-            OptimizeOrderM2(logical, vs.instances, span.context());
-        physical = m2.plan;
-        cost = m2.cost;
-        break;
-      }
-      case CostModel::kM3: {
-        if (use_filters) {
-          auto advice = AdviseFilters(logical, filter_atoms, vs.instances);
-          filtered = !advice.filters_added.empty();
-          logical = std::move(advice.improved);
-        }
-        if (logical.num_subgoals() <= options_.max_m3_subgoals) {
-          const auto m3 =
-              OptimizeM3(logical, query, vs.views, vs.instances,
-                         span.context());
-          physical = m3.plan;
-          cost = m3.cost;
-        } else {
-          // Too wide for the exhaustive M3 search: M2 order + SR drops.
-          const auto m2 =
-              OptimizeOrderM2(logical, vs.instances, span.context());
-          physical = m2.plan;
-          physical.drop_after = SupplementaryDrops(logical, physical.order);
-          cost = ExecutePlan(physical, vs.instances).TotalCost();
-        }
-        break;
+    } else if (model == CostModel::kM3 &&
+               logical.num_subgoals() <= options_.max_m3_subgoals) {
+      const auto m3 = OptimizeM3(logical, call.query, vs.views, vs.instances,
+                                 span.context());
+      physical = m3.plan;
+      cost = m3.cost;
+    } else {
+      const auto m2 = OptimizeOrderM2(logical, vs.instances, span.context());
+      physical = m2.plan;
+      cost = m2.cost;
+      greedy = m2.greedy;
+      if (model == CostModel::kM3) {
+        // Too wide for the exhaustive M3 search: M2 order + SR drops.
+        physical.drop_after = SupplementaryDrops(logical, physical.order);
+        cost = ExecutePlan(physical, vs.instances).TotalCost();
       }
     }
     if (capture != nullptr) {
@@ -401,135 +397,161 @@ bool ViewPlanner::CostAndPick(
       candidate.filtered = filtered;
       capture->push_back(std::move(candidate));
     }
-    if (!found || cost < best->cost) {
-      found = true;
-      best->cost = cost;
-      best->logical = std::move(logical);
-      best->physical = std::move(physical);
-      *winner_index = r;
-      *winner_filtered = filtered;
+    if (r == 0 || cost < best.choice.cost) {
+      best.choice.cost = cost;
+      best.choice.logical = std::move(logical);
+      best.choice.physical = std::move(physical);
+      best.index = r;
+      best.filtered = filtered;
+      best.greedy = greedy;
     }
   }
-  if (capture != nullptr && found) {
+  if (capture != nullptr) {
     for (size_t r = 0; r < capture->size(); ++r) {
       PlanExplanation::Candidate& candidate = (*capture)[r];
-      if (r == *winner_index) {
+      if (r == best.index) {
         candidate.chosen = true;
         candidate.reason = "chosen";
       } else {
         candidate.reason = "cost " + std::to_string(candidate.cost) +
-                           " >= winner " + std::to_string(best->cost);
+                           " >= winner " + std::to_string(best.choice.cost);
       }
     }
   }
-  if (found) {
-    span.AddAttribute("winner", static_cast<uint64_t>(*winner_index));
-    span.AddAttribute("winner_cost", static_cast<uint64_t>(best->cost));
-  }
-  return found;
-}
-
-namespace {
-
-// Limits for one rung of the degradation ladder: the configured grace work
-// budget, plus a sliver of deadline when the request itself was
-// deadline-bound (recovery must not cost multiples of the deadline the
-// caller asked for).
-ResourceLimits GraceLimits(const ViewPlanner::Options& options) {
-  ResourceLimits grace;
-  grace.work_limit = options.fallback_work_budget;
-  if (options.budget.deadline_ms > 0) {
-    grace.deadline_ms = std::max(5.0, options.budget.deadline_ms / 4);
-  }
-  return grace;
-}
-
-}  // namespace
-
-std::optional<EquivalenceCertificate> ViewPlanner::GraceCertify(
-    const ViewSnapshot& vs, const ConjunctiveQuery& rewriting,
-    const ConjunctiveQuery& minimized) const {
-  // A fresh governor shields the certification search from the exhausted
-  // request governor (otherwise the dead budget would starve its own
-  // recovery); the grace budget keeps it bounded.
-  ResourceGovernor governor(GraceLimits(options_));
-  GovernorScope scope(&governor);
-  return CertifyEquivalentRewriting(rewriting, minimized, vs.views);
+  span.AddAttribute("winner", static_cast<uint64_t>(best.index));
+  span.AddAttribute("winner_cost", static_cast<uint64_t>(best.choice.cost));
+  return best;
 }
 
 ViewPlanner::PlanResult ViewPlanner::MiniConFallback(
-    const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const CoreCoverResult& cc_result, const TraceContext& trace,
-    PlanExplanation* explain) const {
+    const Call& call, const CoreCoverResult& cc_result) const {
   PlanResult out;
-  out.stats = cc_result.stats;
   out.status = PlanStatus::kBudgetExhausted;
   out.exhaustion = cc_result.exhaustion;
   out.error = ExhaustionMessage(cc_result.exhaustion,
                                 "before any rewriting was found");
   if (!options_.enable_minicon_fallback) return out;
 
-  TraceSpan span(trace, "minicon_fallback");
-  ResourceGovernor governor(GraceLimits(options_));
+  TraceSpan span(call.trace, "minicon_fallback");
+  ResourceGovernor governor(
+      GraceLimits(options_.fallback_work_budget, call.request));
   GovernorScope scope(&governor);
   // Same candidate discipline as the main pipeline, in MiniCon's
   // kAnyOverlap mode (snapshot index when available).
   CandidateFilterOptions filter;
   filter.enabled = options_.core_cover.use_view_index;
-  filter.index = vs.index.get();
-  const MiniConResult mc =
-      MiniCon(query, vs.views, options_.core_cover.max_rewritings, filter);
+  filter.index = call.vs.index.get();
+  const MiniConResult mc = MiniCon(call.query, call.vs.views,
+                                   options_.core_cover.max_rewritings, filter);
   span.AddAttribute("equivalent_rewritings",
                     static_cast<uint64_t>(mc.equivalent_rewritings.size()));
   span.AddAttribute("aborted", mc.aborted);
   if (mc.equivalent_rewritings.empty()) return out;
 
-  PlanChoice best;
-  size_t winner = 0;
-  bool winner_filtered = false;
-  VBR_CHECK(CostAndPick(vs, query, model, mc.equivalent_rewritings, {}, &best,
-                        &winner, &winner_filtered, span.context(),
-                        explain != nullptr ? &explain->candidates : nullptr));
+  Call fallback = call;
+  fallback.trace = span.context();
+  Pick best = CostAndPick(fallback, mc.equivalent_rewritings, {});
   // MiniCon's equivalence filter already verified the winner, but PlanChoice
   // promises a transportable certificate; build one under the same grace
   // budget (if even that dies, report exhaustion rather than an
   // uncertified plan).
-  auto certificate =
-      CertifyEquivalentRewriting(best.logical, mc.minimized_query, vs.views);
+  auto certificate = CertifyEquivalentRewriting(
+      best.choice.logical, mc.minimized_query, call.vs.views);
   if (!certificate.has_value()) return out;
-  best.certificate = std::move(*certificate);
-  out.choice = std::move(best);
+  best.choice.certificate = std::move(*certificate);
+  out.choice = std::move(best.choice);
   out.status = PlanStatus::kOk;
   out.degraded = true;
   out.error.clear();
   return out;
 }
 
-ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
-    const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const CoreCoverOptions& cc_options, const CanonicalQuery* canonical,
-    std::shared_ptr<const CachedPlan>* out_entry,
-    PlanExplanation* explain) const {
-  // Per-request budget: a fresh governor when the options configure limits,
-  // otherwise whatever governor the caller installed (possibly none).
-  std::optional<ResourceGovernor> governor_storage;
-  if (!options_.budget.unlimited()) governor_storage.emplace(options_.budget);
-  GovernorScope budget_scope(governor_storage ? &*governor_storage
-                                              : ResourceGovernor::Current());
+ViewPlanner::PlanResult ViewPlanner::CostCertify(
+    const Call& call, const std::vector<ConjunctiveQuery>& rewritings,
+    const std::vector<Atom>& filter_atoms, const ConjunctiveQuery& minimized,
+    const CachedPlan* entry, const Substitution& transport) const {
   ResourceGovernor* const governor = ResourceGovernor::Current();
+  // Under an exhausted budget the optimizers abort and report SIZE_MAX
+  // costs, so the pick degrades toward emission order but stays total.
+  Pick best = CostAndPick(call, rewritings, filter_atoms);
 
+  // Certify the winner against the minimized core (the certificate covers
+  // the logical plan; the M3 physical plan may execute a renamed variant,
+  // proven answer-equal by the optimizer's renaming-safety test). A bare
+  // cached rewriting reuses its stored certificate once transported and
+  // re-verified (transport is a pure renaming, but the verifier is cheap
+  // and search-free, so trust nothing); a filtered winner differs from
+  // every cached rewriting and is certified afresh.
+  TraceSpan span(call.trace, "certify");
+  const bool cacheable = entry != nullptr && !best.filtered;
+  std::optional<EquivalenceCertificate> certificate;
+  if (cacheable) {
+    if (auto cached = entry->certificate(best.index)) {
+      EquivalenceCertificate cert = TransportCertificate(*cached, transport);
+      if (VerifyCertificate(cert, call.vs.views)) certificate = std::move(cert);
+    }
+  }
+  const bool reused = certificate.has_value();
+  const auto exhausted = [governor] {
+    return governor != nullptr && governor->exhausted();
+  };
+  if (!reused && !exhausted()) {
+    certificate =
+        CertifyEquivalentRewriting(best.choice.logical, minimized,
+                                   call.vs.views);
+  }
+  if (!certificate.has_value() && exhausted()) {
+    // Best-so-far grace certification: the rewriting is genuine (every
+    // emitted cover is), only the certification search was starved. A
+    // fresh governor shields it from the dead request budget, which would
+    // otherwise starve its own recovery.
+    ResourceGovernor grace(
+        GraceLimits(options_.fallback_work_budget, call.request));
+    GovernorScope grace_scope(&grace);
+    certificate = CertifyEquivalentRewriting(best.choice.logical, minimized,
+                                             call.vs.views);
+    span.AddAttribute("grace", true);
+  }
+  span.AddAttribute("reused_cached", reused);
+  PlanResult out;
+  if (!certificate.has_value()) {
+    // Only a starved certification search may fail here.
+    VBR_CHECK_MSG(exhausted(), "planner produced an uncertifiable rewriting");
+    out.status = PlanStatus::kBudgetExhausted;
+    out.error = ExhaustionMessage(governor->exhaustion(),
+                                  "before the chosen rewriting could be "
+                                  "certified");
+    return out;
+  }
+  if (cacheable && !reused) {
+    entry->StoreCertificate(
+        best.index,
+        TransportCertificate(*certificate, InvertRenaming(transport)));
+  }
+  best.choice.certificate = std::move(*certificate);
+  out.choice = std::move(best.choice);
+  out.status = PlanStatus::kOk;
+  out.degraded = best.greedy;
+  return out;
+}
+
+ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
+    const Call& call, const CanonicalQuery* canonical) const {
   // M1 needs only the GMRs; M2/M3 search all minimal rewritings. The
   // snapshot's candidate index rides along (same catalog by construction).
-  CoreCoverOptions cc = cc_options;
-  if (cc.use_view_index && vs.index != nullptr) cc.view_index = vs.index.get();
+  CoreCoverOptions cc = options_.core_cover;
+  if (call.serial) cc.num_threads = 1;
+  cc.trace = call.trace;
+  if (cc.use_view_index && call.vs.index != nullptr) {
+    cc.view_index = call.vs.index.get();
+  }
   const CoreCoverResult result =
-      model == CostModel::kM1 ? CoreCover(query, vs.views, cc)
-                              : CoreCoverStar(query, vs.views, cc);
+      call.request.model == CostModel::kM1
+          ? CoreCover(call.query, call.vs.views, cc)
+          : CoreCoverStar(call.query, call.vs.views, cc);
   const bool exhausted_run =
       result.status == CoreCoverStatus::kBudgetExhausted;
 
-  PlanResult out;
-  out.stats = result.stats;
   std::vector<Atom> filter_atoms;
   filter_atoms.reserve(result.filter_candidates.size());
   for (size_t i : result.filter_candidates) {
@@ -563,69 +585,23 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     entry->stats = result.stats;
   }
 
-  if (explain != nullptr) explain->minimized = result.minimized_query;
+  if (call.explain != nullptr) call.explain->minimized = result.minimized_query;
+  PlanResult out;
   if (result.status == CoreCoverStatus::kUnsupportedQueryTooLarge) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = result.error;
+  } else if (!result.has_rewriting && exhausted_run) {
+    // Nothing survived before the budget died; last rung of the ladder.
+    out = MiniConFallback(call, result);
   } else if (!result.has_rewriting) {
-    if (exhausted_run) {
-      // Nothing survived before the budget died; last rung of the ladder.
-      out = MiniConFallback(vs, query, model, result, cc_options.trace,
-                            explain);
-    } else {
-      out.status = PlanStatus::kNoRewriting;
-    }
+    out.status = PlanStatus::kNoRewriting;
   } else {
-    PlanChoice best;
-    size_t winner = 0;
-    bool winner_filtered = false;
-    // Under an exhausted budget the optimizers abort and report SIZE_MAX
-    // costs, so the pick degrades toward emission order but stays total.
-    VBR_CHECK(CostAndPick(vs, query, model, result.rewritings, filter_atoms,
-                          &best, &winner, &winner_filtered, cc_options.trace,
-                          explain != nullptr ? &explain->candidates : nullptr));
-    // Certify the winner against the minimized core (the certificate covers
-    // the logical plan; the M3 physical plan may execute a renamed variant,
-    // proven answer-equal by the optimizer's renaming-safety test).
-    TraceSpan certify_span(cc_options.trace, "certify");
-    std::optional<EquivalenceCertificate> certificate;
-    if (governor == nullptr || !governor->exhausted()) {
-      certificate =
-          CertifyEquivalentRewriting(best.logical, result.minimized_query,
-                                     vs.views);
-    }
-    const bool exhausted_now = governor != nullptr && governor->exhausted();
-    if (!certificate.has_value() && exhausted_now) {
-      // Best-so-far grace certification: the rewriting is genuine (every
-      // emitted cover is), only the certification search was starved.
-      certificate = GraceCertify(vs, best.logical, result.minimized_query);
-      certify_span.AddAttribute("grace", true);
-    }
-    VBR_CHECK_MSG(certificate.has_value() || exhausted_now,
-                  "planner produced an uncertifiable rewriting");
-    if (!certificate.has_value()) {
-      out.status = PlanStatus::kBudgetExhausted;
-      out.exhaustion = governor->exhaustion();
-      out.error = ExhaustionMessage(out.exhaustion,
-                                    "before the chosen rewriting could be "
-                                    "certified");
-    } else {
-      if (entry != nullptr && !winner_filtered) {
-        entry->StoreCertificate(
-            winner,
-            TransportCertificate(*certificate, canonical->to_canonical));
-      }
-      best.certificate = std::move(*certificate);
-      out.choice = std::move(best);
-      out.status = PlanStatus::kOk;
-    }
+    out = CostCertify(call, result.rewritings, filter_atoms,
+                      result.minimized_query, entry.get(),
+                      canonical != nullptr ? canonical->from_canonical
+                                           : Substitution());
   }
-
-  if (governor != nullptr && governor->exhausted()) {
-    out.exhaustion = governor->exhaustion();
-    out.degraded = out.status == PlanStatus::kOk;
-  }
-  RecordBudgetMetrics(out.exhaustion);
+  out.stats = result.stats;
 
   if (entry != nullptr) {
     // Keyed to the snapshot's epoch: if a ReplaceViews landed while this
@@ -633,253 +609,163 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
     // the retired view set). The snapshot's delta epoch rides along so an
     // AddViews/RemoveViews that landed mid-plan is reconciled per-query at
     // lookup time instead of silently serving a pre-delta plan.
-    cache_->Insert(model, entry, vs.epoch, vs.delta_epoch);
-    if (out_entry != nullptr) *out_entry = entry;
+    cache_->Insert(call.request.model, entry, call.vs.epoch,
+                   call.vs.delta_epoch);
   }
   return out;
 }
 
 ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
-    const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const CachedPlan& entry, const Substitution& transport,
-    const TraceContext& trace, PlanExplanation* explain) const {
-  // Cache hits re-cost and re-certify against current instances, so they
-  // run under the same per-request budget as a fresh plan.
-  std::optional<ResourceGovernor> governor_storage;
-  if (!options_.budget.unlimited()) governor_storage.emplace(options_.budget);
-  GovernorScope budget_scope(governor_storage ? &*governor_storage
-                                              : ResourceGovernor::Current());
-  ResourceGovernor* const governor = ResourceGovernor::Current();
-
+    const Call& call, const CachedPlan& entry,
+    const Substitution& transport) const {
+  const ConjunctiveQuery minimized = transport.Apply(entry.minimized);
+  if (call.explain != nullptr) call.explain->minimized = minimized;
   PlanResult out;
-  out.cache_hit = true;
-  out.stats = entry.stats;
-  if (explain != nullptr) explain->minimized = transport.Apply(entry.minimized);
   if (entry.status != CoreCoverStatus::kOk) {
     out.status = PlanStatus::kUnsupportedQueryTooLarge;
     out.error = entry.error;
-    return out;
-  }
-  if (!entry.has_rewriting) {
+  } else if (!entry.has_rewriting) {
     out.status = PlanStatus::kNoRewriting;
-    return out;
-  }
-
-  // Transport the cached logical rewritings into this query's variables and
-  // re-cost them against the CURRENT view instances.
-  std::vector<ConjunctiveQuery> rewritings;
-  rewritings.reserve(entry.rewritings.size());
-  for (const ConjunctiveQuery& r : entry.rewritings) {
-    rewritings.push_back(transport.Apply(r));
-  }
-  std::vector<Atom> filter_atoms;
-  filter_atoms.reserve(entry.filter_atoms.size());
-  for (const Atom& a : entry.filter_atoms) {
-    filter_atoms.push_back(transport.Apply(a));
-  }
-
-  PlanChoice best;
-  size_t winner = 0;
-  bool winner_filtered = false;
-  VBR_CHECK(CostAndPick(vs, query, model, rewritings, filter_atoms, &best,
-                        &winner, &winner_filtered, trace,
-                        explain != nullptr ? &explain->candidates : nullptr));
-
-  // Certificate: reuse the cached one when the winner is the bare cached
-  // rewriting (re-verified after transport — transport is a pure renaming,
-  // but the verifier is cheap and search-free, so trust nothing). A
-  // filtered winner differs from the cached rewriting and is re-certified.
-  TraceSpan certify_span(trace, "certify");
-  bool certified = false;
-  if (!winner_filtered) {
-    if (auto cached_cert = entry.certificate(winner)) {
-      EquivalenceCertificate cert =
-          TransportCertificate(*cached_cert, transport);
-      if (VerifyCertificate(cert, vs.views)) {
-        best.certificate = std::move(cert);
-        certified = true;
-      }
+  } else {
+    // Transport the cached logical rewritings into this query's variables
+    // and re-cost them against the CURRENT view instances.
+    std::vector<ConjunctiveQuery> rewritings;
+    rewritings.reserve(entry.rewritings.size());
+    for (const ConjunctiveQuery& r : entry.rewritings) {
+      rewritings.push_back(transport.Apply(r));
     }
+    std::vector<Atom> filter_atoms;
+    filter_atoms.reserve(entry.filter_atoms.size());
+    for (const Atom& a : entry.filter_atoms) {
+      filter_atoms.push_back(transport.Apply(a));
+    }
+    out = CostCertify(call, rewritings, filter_atoms, minimized, &entry,
+                      transport);
   }
-  if (!certified) {
-    const ConjunctiveQuery minimized = transport.Apply(entry.minimized);
-    std::optional<EquivalenceCertificate> certificate;
-    if (governor == nullptr || !governor->exhausted()) {
-      certificate =
-          CertifyEquivalentRewriting(best.logical, minimized, vs.views);
-    }
-    if (!certificate.has_value() && governor != nullptr &&
-        governor->exhausted()) {
-      certificate = GraceCertify(vs, best.logical, minimized);
-      certify_span.AddAttribute("grace", true);
-    }
-    if (!certificate.has_value()) {
-      // Only a starved certification search may fail here — a cached
-      // rewriting that genuinely fails to certify is a planner bug.
-      VBR_CHECK_MSG(governor != nullptr && governor->exhausted(),
-                    "cached rewriting failed certification");
-      certify_span.End();
-      out.status = PlanStatus::kBudgetExhausted;
-      out.exhaustion = governor->exhaustion();
-      out.error = ExhaustionMessage(out.exhaustion,
-                                    "while certifying a cached plan");
-      RecordBudgetMetrics(out.exhaustion);
-      return out;
-    }
-    if (!winner_filtered) {
-      entry.StoreCertificate(
-          winner,
-          TransportCertificate(*certificate, InvertRenaming(transport)));
-    }
-    best.certificate = std::move(*certificate);
-  }
-  certify_span.AddAttribute("reused_cached", certified);
-  certify_span.End();
-  out.choice = std::move(best);
-  out.status = PlanStatus::kOk;
-  if (governor != nullptr && governor->exhausted()) {
-    // Costing (or first-pass certification) was starved: the plan is
-    // certified-correct but may not be the cheapest candidate.
-    out.exhaustion = governor->exhaustion();
-    out.degraded = true;
-    RecordBudgetMetrics(out.exhaustion);
-  }
+  out.cache_hit = true;
+  out.stats = entry.stats;
   return out;
 }
 
-ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
-                                          CostModel model) const {
-  return PlanInternal(*CurrentSnapshot(), query, model, TraceContext{},
-                      nullptr);
-}
-
-ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
-                                          CostModel model,
-                                          TraceSink* trace) const {
-  return PlanInternal(*CurrentSnapshot(), query, model,
-                      TraceContext{trace, 0}, nullptr);
-}
-
-ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
-                                          CostModel model,
-                                          const TraceContext& trace) const {
-  return PlanInternal(*CurrentSnapshot(), query, model, trace, nullptr);
-}
-
-ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
-                                          const PlanRequestOptions& request,
-                                          TraceSink* trace) const {
-  // Same governed-call contract as PlanningService::Serve: install a fresh
-  // governor from the request's limits (deadline measured from here) so
-  // the whole pipeline observes them, then plan under the request's model.
-  const ResourceLimits limits = request.limits();
-  std::optional<ResourceGovernor> governor;
-  std::optional<GovernorScope> scope;
-  if (!limits.unlimited()) {
-    governor.emplace(limits);
-    scope.emplace(&*governor);
-  }
-  return Plan(query, request.model, trace);
-}
-
-std::optional<ViewPlanner::PlanResult> ViewPlanner::TryPlanFromCache(
-    const ConjunctiveQuery& query, CostModel model) const {
-  if (!options_.enable_cache || query.HasBuiltins()) return std::nullopt;
-  const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
-  const CanonicalQuery canonical = CanonicalizeQuery(query);
-  std::optional<Substitution> fallback;
-  const PlanCache::EntryPtr entry =
-      cache_->Lookup(canonical.fingerprint, model, canonical.minimized,
-                     &fallback, snapshot->epoch, snapshot->delta_epoch);
-  if (entry == nullptr) return std::nullopt;
-  return PlanFromEntry(*snapshot, query, model, *entry,
-                       fallback ? *fallback : canonical.from_canonical);
-}
-
-ViewPlanner::PlanResult ViewPlanner::PlanInternal(
-    const ViewSnapshot& vs, const ConjunctiveQuery& query, CostModel model,
-    const TraceContext& trace, PlanExplanation* explain) const {
+std::optional<ViewPlanner::PlanResult> ViewPlanner::Run(Call call) const {
   static Counter* const plan_calls =
       MetricsRegistry::Global().GetCounter("planner.plans");
   static Histogram* const plan_us =
       MetricsRegistry::Global().GetHistogram("planner.plan_us");
-  plan_calls->Increment();
-  const Timer timer;
-  TraceSpan span(trace, "plan");
-  span.AddAttribute("model", ModelName(model));
+  // The request's governor (deadline measured from here) covers the whole
+  // call; without limits, whatever governor the caller installed applies.
+  const ResourceLimits limits = call.request.limits();
+  std::optional<ResourceGovernor> request_governor;
+  if (!limits.unlimited()) request_governor.emplace(limits);
+  GovernorScope scope(request_governor ? &*request_governor
+                                       : ResourceGovernor::Current());
+  ResourceGovernor* const governor = ResourceGovernor::Current();
 
-  PlanResult result;
+  const Timer timer;
+  const CostModel model = call.request.model;
+  TraceSpan span(call.trace, "plan");
+  span.AddAttribute("model", ModelName(model));
+  call.trace = span.context();
+
+  std::optional<PlanResult> result;
   std::string_view disposition;
   // Builtin comparison subgoals are outside the fingerprint/minimization
   // machinery; such queries bypass the cache (and fail later checks exactly
   // as they always did).
-  if (!options_.enable_cache || query.HasBuiltins()) {
+  if (!options_.enable_cache || call.query.HasBuiltins()) {
     disposition = options_.enable_cache ? "bypass" : "disabled";
-    CoreCoverOptions cc = options_.core_cover;
-    cc.trace = span.context();
-    result = PlanViaCoreCover(vs, query, model, cc, nullptr, nullptr, explain);
+    if (!call.cache_only) result = PlanViaCoreCover(call, nullptr);
   } else {
-    std::optional<CanonicalQuery> canonical;
-    {
-      TraceSpan canon_span(span.context(), "canonicalize");
-      canonical = CanonicalizeQuery(query);
-      canon_span.AddAttribute("exact", canonical->fingerprint.exact);
+    std::optional<CanonicalQuery> canonicalized;
+    const CanonicalQuery* canonical = call.canonical;
+    if (canonical == nullptr) {
+      TraceSpan canon_span(call.trace, "canonicalize");
+      canonicalized = CanonicalizeQuery(call.query);
+      canon_span.AddAttribute("exact", canonicalized->fingerprint.exact);
+      canonical = &*canonicalized;
     }
     std::optional<Substitution> fallback;
     PlanCache::EntryPtr entry;
     {
-      TraceSpan lookup_span(span.context(), "cache_lookup");
+      TraceSpan lookup_span(call.trace, "cache_lookup");
       entry = cache_->Lookup(canonical->fingerprint, model,
-                             canonical->minimized, &fallback, vs.epoch,
-                             vs.delta_epoch);
-      lookup_span.AddAttribute("outcome",
-                               entry != nullptr ? "hit" : "miss");
+                             canonical->minimized, &fallback, call.vs.epoch,
+                             call.vs.delta_epoch);
+      disposition = entry != nullptr ? "hit" : "miss";
+      lookup_span.AddAttribute("outcome", disposition);
     }
     if (entry != nullptr) {
-      disposition = "hit";
-      result = PlanFromEntry(vs, query, model, *entry,
-                             fallback ? *fallback : canonical->from_canonical,
-                             span.context(), explain);
-    } else {
-      disposition = "miss";
-      CoreCoverOptions cc = options_.core_cover;
-      cc.trace = span.context();
-      result = PlanViaCoreCover(vs, query, model, cc, &*canonical, nullptr,
-                                explain);
+      result = PlanFromEntry(call, *entry,
+                             fallback ? *fallback : canonical->from_canonical);
+    } else if (!call.cache_only) {
+      result = PlanViaCoreCover(call, canonical);
     }
   }
   span.AddAttribute("cache", disposition);
-  span.AddAttribute("status", PlanStatusName(result.status));
-  if (result.exhaustion.kind != BudgetKind::kNone) {
-    span.AddAttribute("budget_kind", BudgetKindName(result.exhaustion.kind));
-    span.AddAttribute("budget_site", result.exhaustion.site);
-    span.AddAttribute("degraded", result.degraded);
+  if (!result.has_value()) return std::nullopt;  // a cache-only miss
+
+  if (governor != nullptr && governor->exhausted()) {
+    // Whatever the path, a plan from a starved call is certified-correct
+    // but may not be the cheapest.
+    result->exhaustion = governor->exhaustion();
+    result->degraded = result->ok();
   }
+  RecordBudgetMetrics(result->exhaustion);
+  span.AddAttribute("status", PlanStatusName(result->status));
+  if (result->exhaustion.kind != BudgetKind::kNone) {
+    span.AddAttribute("budget_kind", BudgetKindName(result->exhaustion.kind));
+    span.AddAttribute("budget_site", result->exhaustion.site);
+    span.AddAttribute("degraded", result->degraded);
+  }
+  plan_calls->Increment();
   plan_us->Record(static_cast<uint64_t>(timer.ElapsedMillis() * 1000.0));
-  if (explain != nullptr) {
-    explain->status = result.status;
-    explain->error = result.error;
-    explain->model = model;
-    explain->cache_disposition = std::string(disposition);
-    explain->query = query;
-    explain->choice = result.choice;
-    explain->stats = result.stats;
-    explain->cache_hit = result.cache_hit;
-    explain->exhaustion = result.exhaustion;
-    explain->degraded = result.degraded;
+  if (call.explain != nullptr) {
+    PlanExplanation& explain = *call.explain;
+    explain.status = result->status;
+    explain.error = result->error;
+    explain.model = model;
+    explain.cache_disposition = std::string(disposition);
+    explain.query = call.query;
+    explain.choice = result->choice;
+    explain.stats = result->stats;
+    explain.cache_hit = result->cache_hit;
+    explain.exhaustion = result->exhaustion;
+    explain.degraded = result->degraded;
   }
   return result;
 }
 
+ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
+                                          const PlanRequestOptions& request,
+                                          const TraceContext& trace) const {
+  const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
+  return *Run({.vs = *snapshot, .query = query, .request = request,
+               .trace = trace});
+}
+
+ViewPlanner::PlanResult ViewPlanner::Plan(const ConjunctiveQuery& query,
+                                          CostModel model) const {
+  return Plan(query, PlanRequestOptions{.model = model});
+}
+
+std::optional<ViewPlanner::PlanResult> ViewPlanner::TryPlanFromCache(
+    const ConjunctiveQuery& query, const PlanRequestOptions& request,
+    const TraceContext& trace) const {
+  const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
+  return Run({.vs = *snapshot, .query = query, .request = request,
+              .trace = trace, .cache_only = true});
+}
+
 ViewPlanner::PlanExplanation ViewPlanner::Explain(
-    const ConjunctiveQuery& query, CostModel model, TraceSink* trace) const {
+    const ConjunctiveQuery& query, const PlanRequestOptions& request,
+    const TraceContext& trace) const {
   PlanExplanation explain;
   // One snapshot for the planning run AND the re-measurement below, so the
   // breakdown describes the same view generation the plan was chosen on.
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
   const ViewSnapshot& vs = *snapshot;
-  const PlanResult result =
-      PlanInternal(vs, query, model, TraceContext{trace, 0}, &explain);
+  const PlanResult result = *Run({.vs = vs, .query = query, .request = request,
+                                  .trace = trace, .explain = &explain});
   if (!result.ok()) return explain;
 
   // Re-measure the chosen logical plan under all three cost models so the
@@ -936,7 +822,8 @@ ViewPlanner::PlanExplanation ViewPlanner::Explain(
 }
 
 std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
-    const std::vector<ConjunctiveQuery>& queries, CostModel model) const {
+    const std::vector<ConjunctiveQuery>& queries,
+    const PlanRequestOptions& request) const {
   std::vector<PlanResult> results(queries.size());
   if (queries.empty()) return results;
 
@@ -947,8 +834,6 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
 
   // The batch is the unit of parallelism: each query plans single-threaded
   // while the pool fans out across fingerprint groups.
-  CoreCoverOptions serial_cc = options_.core_cover;
-  serial_cc.num_threads = 1;
   ThreadPool pool(options_.core_cover.num_threads);
 
   std::vector<std::unique_ptr<CanonicalQuery>> canon(queries.size());
@@ -961,95 +846,30 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
     });
   }
 
-  // Group queries by fingerprint, first occurrence leading, mirroring the
-  // cache's matching rules (exact canonical string, or isomorphism search
-  // when a labeling is inexact). Uncacheable queries form singleton groups.
+  // Group queries by canonical form (the cache key), first occurrence
+  // leading. Uncacheable queries form singleton groups.
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<std::string_view, size_t> by_canonical;
-  std::vector<size_t> inexact_groups;
   for (size_t i = 0; i < queries.size(); ++i) {
     if (canon[i] == nullptr) {
       groups.push_back({i});
       continue;
     }
-    const QueryFingerprint& fp = canon[i]->fingerprint;
-    if (auto it = by_canonical.find(fp.canonical); it != by_canonical.end()) {
-      groups[it->second].push_back(i);
-      continue;
-    }
-    size_t joined = static_cast<size_t>(-1);
-    if (!fp.exact) {
-      for (size_t g = 0; g < groups.size() && joined == static_cast<size_t>(-1);
-           ++g) {
-        const size_t lead = groups[g][0];
-        if (canon[lead] != nullptr &&
-            Isomorphic(canon[lead]->minimized, canon[i]->minimized)) {
-          joined = g;
-        }
-      }
-    } else {
-      for (size_t g : inexact_groups) {
-        const size_t lead = groups[g][0];
-        if (Isomorphic(canon[lead]->minimized, canon[i]->minimized)) {
-          joined = g;
-          break;
-        }
-      }
-    }
-    if (joined != static_cast<size_t>(-1)) {
-      groups[joined].push_back(i);
-      continue;
-    }
-    groups.push_back({i});
-    by_canonical.emplace(fp.canonical, groups.size() - 1);
-    if (!fp.exact) inexact_groups.push_back(groups.size() - 1);
+    const auto [it, fresh] =
+        by_canonical.emplace(canon[i]->fingerprint.canonical, groups.size());
+    if (fresh) groups.emplace_back();
+    groups[it->second].push_back(i);
   }
 
+  // Each group plans in order on one worker: the leader's CoreCover run
+  // fills the cache and its duplicates are served that entry as hits —
+  // unless the leader's budget died, in which case nothing was cached (a
+  // partial enumeration must not poison its duplicates) and each duplicate
+  // plans on its own budget.
   pool.ParallelFor(groups.size(), [&](size_t g) {
-    const std::vector<size_t>& members = groups[g];
-    const size_t lead = members[0];
-    std::shared_ptr<const CachedPlan> entry;
-    if (canon[lead] != nullptr) {
-      std::optional<Substitution> fallback;
-      entry = cache_->Lookup(canon[lead]->fingerprint, model,
-                             canon[lead]->minimized, &fallback, vs.epoch,
-                             vs.delta_epoch);
-      if (entry != nullptr) {
-        results[lead] =
-            PlanFromEntry(vs, queries[lead], model, *entry,
-                          fallback ? *fallback : canon[lead]->from_canonical);
-      } else {
-        results[lead] = PlanViaCoreCover(vs, queries[lead], model, serial_cc,
-                                         canon[lead].get(), &entry);
-      }
-    } else {
-      results[lead] = PlanViaCoreCover(vs, queries[lead], model, serial_cc,
-                                       nullptr, nullptr);
-    }
-    // In-flight deduplication: duplicates reuse the representative's entry
-    // directly (robust against concurrent eviction) and count as hits.
-    for (size_t k = 1; k < members.size(); ++k) {
-      const size_t idx = members[k];
-      VBR_CHECK(canon[idx] != nullptr);
-      if (entry == nullptr) {
-        // The representative's run exhausted its budget, so nothing was
-        // cached (a partial rewriting enumeration must not poison its
-        // duplicates); each duplicate plans on its own budget instead.
-        results[idx] = PlanViaCoreCover(vs, queries[idx], model, serial_cc,
-                                        canon[idx].get(), nullptr);
-        continue;
-      }
-      Substitution transport;
-      if (canon[idx]->fingerprint.canonical == entry->fingerprint.canonical) {
-        transport = canon[idx]->from_canonical;
-      } else {
-        auto iso = FindIsomorphism(entry->minimized, canon[idx]->minimized);
-        VBR_CHECK_MSG(iso.has_value(),
-                      "batched duplicate is not isomorphic to its leader");
-        transport = std::move(*iso);
-      }
-      cache_->RecordDedupHit();
-      results[idx] = PlanFromEntry(vs, queries[idx], model, *entry, transport);
+    for (size_t i : groups[g]) {
+      results[i] = *Run({.vs = vs, .query = queries[i], .request = request,
+                         .canonical = canon[i].get(), .serial = true});
     }
   });
   return results;
@@ -1171,8 +991,9 @@ std::optional<Relation> ViewPlanner::Answer(
   // Plan and execute against ONE pinned snapshot so the answer is computed
   // over the same instances the plan was costed on.
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
-  PlanResult result =
-      PlanInternal(*snapshot, query, CostModel::kM2, TraceContext{}, nullptr);
+  const PlanRequestOptions request{.model = CostModel::kM2};
+  const PlanResult result =
+      *Run({.vs = *snapshot, .query = query, .request = request});
   if (!result.ok()) return std::nullopt;
   return ExecutePlan(result.choice->physical, snapshot->instances).answer;
 }

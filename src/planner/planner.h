@@ -41,7 +41,7 @@ enum class PlanStatus {
   // The (minimized) query exceeds the supported fragment (e.g. more than
   // 64 subgoals); PlanResult::error carries the detail.
   kUnsupportedQueryTooLarge,
-  // The request's resource budget (Options::budget) ran out before any
+  // The request's resource budget (PlanRequestOptions) ran out before any
   // certified plan could be produced — including the degradation ladder
   // (grace certification of a best-so-far rewriting, then the budgeted
   // MiniCon fallback). PlanResult::exhaustion says which budget died and at
@@ -61,7 +61,8 @@ const char* PlanStatusName(PlanStatus status);
 // equivalence certificate. Execute() runs it.
 //
 //   ViewPlanner planner(views, MaterializeViews(views, base));
-//   auto result = planner.Plan(query, CostModel::kM2);
+//   auto result = planner.Plan(query, {.model = CostModel::kM2,
+//                                      .deadline_ms = 50});
 //   if (result.ok()) Relation answer = planner.Execute(*result.choice);
 //
 // Caching: CoreCover's logical output depends only on the query and the
@@ -127,8 +128,8 @@ class ViewPlanner {
     // hit these are the ORIGINAL run's stats (its timings describe the
     // planning work this request skipped).
     CoreCoverStats stats;
-    // True if the logical plans came from the cache (or from PlanMany's
-    // in-flight deduplication) instead of a fresh CoreCover run.
+    // True if the logical plans came from the plan cache instead of a fresh
+    // CoreCover run.
     bool cache_hit = false;
     // Human-readable detail when status == kUnsupportedQueryTooLarge or
     // kBudgetExhausted.
@@ -138,8 +139,9 @@ class ViewPlanner {
     BudgetExhaustion exhaustion;
     // True when the budget ran out but the degradation ladder still produced
     // a certified plan (best-so-far grace certification or the MiniCon
-    // fallback) — or when costing was starved, so `choice` is certified-
-    // correct but may not be the cheapest candidate.
+    // fallback) — or when costing was starved, or the winner was too wide
+    // for the exact M2 join-order search and got a greedy order, so
+    // `choice` is certified-correct but may not be the cheapest plan.
     bool degraded = false;
 
     bool ok() const { return status == PlanStatus::kOk; }
@@ -171,20 +173,11 @@ class ViewPlanner {
     bool enable_cache = true;
     // Total plan-cache entries across all shards.
     size_t cache_capacity = 1024;
-    // DEPRECATED planner-wide request budget (kept one release): prefer the
-    // per-request PlanRequestOptions overload of Plan(), which carries the
-    // model and the budget in one transport-neutral struct. When any limit
-    // is set here, every planned query runs under its own fresh
-    // ResourceGovernor (taking precedence over a caller-installed one);
-    // exhaustion degrades the result (kBudgetExhausted, or kOk with
-    // `degraded` set) and NEVER aborts the process. Budget-exhausted
-    // logical outcomes are never inserted into the plan cache.
-    ResourceLimits budget;
     // Work-unit budget for the degradation ladder: grace certification of a
     // best-so-far rewriting and the MiniCon fallback each run under a fresh
     // governor with this work limit, shielded from the exhausted request
     // governor (otherwise a dead budget would starve its own recovery).
-    // When the request budget has a deadline, the grace governor also gets a
+    // When the request has a deadline, the grace governor also gets a
     // quarter of it (at least 5 ms), so the ladder cannot turn a tight
     // deadline into a long fallback search. 0 = unlimited grace work.
     uint64_t fallback_work_budget = 250'000;
@@ -255,58 +248,57 @@ class ViewPlanner {
     std::string ToJson() const;
   };
 
-  // Chooses a plan for `query` under `model`. With a non-null `trace`, the
-  // call emits a span tree into the sink: a root "plan" span (attributes:
-  // model, cache disposition, status) with children for canonicalization,
-  // the cache lookup, every CoreCover stage, the cost optimizers, and
-  // certification. A null sink costs one branch per span site.
-  PlanResult Plan(const ConjunctiveQuery& query, CostModel model) const;
-  PlanResult Plan(const ConjunctiveQuery& query, CostModel model,
-                  TraceSink* trace) const;
-  // As above, but the "plan" span nests under `trace`'s parent span — used
-  // by callers that wrap planning in their own span tree (the
-  // PlanningService's per-request spans).
-  PlanResult Plan(const ConjunctiveQuery& query, CostModel model,
-                  const TraceContext& trace) const;
-
-  // The transport-neutral entry point: plans `query` under
-  // `request.model`, governed by the request's deadline/work/memory limits
-  // (a fresh ResourceGovernor is installed around the call when any limit
-  // is set). This is the same contract the PlanningService applies to its
-  // queue, so an in-process call and a wire request with equal options
-  // plan identically. Note Options::budget, when set, still takes
-  // precedence inside the rewriting search (see its deprecation note) —
-  // planners behind a service or server should leave it unlimited.
+  // The one governed entry point: plans `query` under `request.model`. When
+  // the request sets any limit, a fresh ResourceGovernor built from those
+  // limits (deadline measured from this call) governs the whole call, and
+  // each rung of the degradation ladder runs under the grace limits derived
+  // from them (Options::fallback_work_budget). An unlimited request runs
+  // under whatever governor the caller installed, if any. Exhaustion
+  // degrades the result (kBudgetExhausted, or kOk with `degraded` set) and
+  // NEVER aborts the process; budget-exhausted logical outcomes are never
+  // cached. The PlanningService plans every attempt through here, so an
+  // in-process call and a wire request with equal options plan identically.
+  //
+  // With an active `trace`, the call emits a "plan" span under it
+  // (attributes: model, cache disposition, status) with children for
+  // canonicalization, the cache lookup, every CoreCover stage, the cost
+  // optimizers, and certification. An inert context costs one branch per
+  // span site.
   PlanResult Plan(const ConjunctiveQuery& query,
                   const PlanRequestOptions& request,
-                  TraceSink* trace = nullptr) const;
+                  const TraceContext& trace = {}) const;
+  // Ungoverned shorthand for Plan(query, {.model = model}).
+  PlanResult Plan(const ConjunctiveQuery& query, CostModel model) const;
 
-  // Cache-only planning: serves `query` from the plan cache (re-costed and
-  // re-certified against current instances, exactly like a Plan() hit) and
-  // returns nullopt on a miss WITHOUT running the rewriting search. The
-  // PlanningService's brown-out ladder uses this to keep serving warm
-  // traffic when the breaker has shed fresh planning work. Queries the
-  // cache cannot hold (builtins, cache disabled) always miss.
-  std::optional<PlanResult> TryPlanFromCache(const ConjunctiveQuery& query,
-                                             CostModel model) const;
+  // Cache-only planning: Plan() that serves `query` only from the plan cache
+  // (re-costed and re-certified against current instances, under the
+  // request's budget) and returns nullopt on a miss WITHOUT running the
+  // rewriting search. The PlanningService's brown-out ladder uses this to
+  // keep serving warm traffic when the breaker has shed fresh planning work.
+  // Queries the cache cannot hold (builtins, cache disabled) always miss.
+  std::optional<PlanResult> TryPlanFromCache(
+      const ConjunctiveQuery& query, const PlanRequestOptions& request,
+      const TraceContext& trace = {}) const;
 
-  // Plans `query` and explains the outcome. Runs the normal planning path
-  // (cache included) plus extra measurement work: every candidate is
-  // recorded while costing, and the winner is re-measured under all three
-  // cost models, so Explain is strictly more expensive than Plan — use it
-  // for debugging and inspection, not on the hot path.
-  PlanExplanation Explain(const ConjunctiveQuery& query, CostModel model,
-                          TraceSink* trace = nullptr) const;
+  // Plans `query` like Plan() and explains the outcome. On top of planning,
+  // every candidate is recorded while costing, and the winner is re-measured
+  // under all three cost models (ungoverned, after the request's governor is
+  // gone), so Explain is strictly more expensive than Plan — use it for
+  // debugging and inspection, not on the hot path.
+  PlanExplanation Explain(const ConjunctiveQuery& query,
+                          const PlanRequestOptions& request,
+                          const TraceContext& trace = {}) const;
 
-  // Plans a batch: results[i] corresponds to queries[i]. The batch fans
+  // Plans a batch: results[i] corresponds to queries[i], each member planned
+  // like Plan(queries[i], request) under its own governor. The batch fans
   // out on a thread pool (core_cover.num_threads workers; each individual
-  // query then plans single-threaded), and queries with identical
-  // fingerprints are deduplicated in flight: one representative per
-  // fingerprint runs CoreCover, and its result is transported to the
-  // duplicates (reported as cache hits). Results are identical to calling
-  // Plan() serially on each query in order, at every thread count.
+  // query then plans single-threaded). Queries with identical fingerprints
+  // plan in order on one worker, so only the first runs CoreCover and the
+  // rest are served its cache entry (reported as cache hits). Results are
+  // identical to calling Plan() serially on each query in order, at every
+  // thread count.
   std::vector<PlanResult> PlanMany(const std::vector<ConjunctiveQuery>& queries,
-                                   CostModel model) const;
+                                   const PlanRequestOptions& request) const;
 
   // Replaces the view definitions and instances and invalidates the plan
   // cache (epoch bump), preserving cache counters and options. Prefer this
@@ -375,63 +367,65 @@ class ViewPlanner {
   uint64_t delta_epoch() const;
 
  private:
-  // The snapshot every helper below plans against: pinned ONCE at the
-  // public entry point and threaded through, so one request never mixes
-  // view-set generations.
+  // The current snapshot (a pointer copy under snapshot_mu_).
   std::shared_ptr<const ViewSnapshot> CurrentSnapshot() const;
 
-  // Shared Plan/Explain entry: plans with optional tracing and, when
-  // `explain` is non-null, records candidates / cache disposition /
-  // minimized core into it.
-  PlanResult PlanInternal(const ViewSnapshot& vs,
-                          const ConjunctiveQuery& query, CostModel model,
-                          const TraceContext& trace,
-                          PlanExplanation* explain) const;
-  // Runs CoreCover + costing for `query`. When `canonical` is non-null the
-  // logical outcome is also inserted into the cache, and *out_entry (if
-  // non-null) receives the inserted entry for in-flight deduplication.
-  PlanResult PlanViaCoreCover(const ViewSnapshot& vs,
-                              const ConjunctiveQuery& query, CostModel model,
-                              const CoreCoverOptions& cc_options,
-                              const CanonicalQuery* canonical,
-                              std::shared_ptr<const CachedPlan>* out_entry,
-                              PlanExplanation* explain = nullptr) const;
-  // Re-costs a cached entry for `query`. `transport` renames the entry's
-  // canonical variables into the caller's.
-  PlanResult PlanFromEntry(const ViewSnapshot& vs,
-                           const ConjunctiveQuery& query, CostModel model,
-                           const CachedPlan& entry,
-                           const Substitution& transport,
-                           const TraceContext& trace = {},
-                           PlanExplanation* explain = nullptr) const;
-  // Shared costing loop: picks the cheapest candidate under `model`
-  // against the snapshot's instances. Returns false if `rewritings` is
-  // empty. With an active `trace`, emits a "cost_and_pick" span (with
-  // optimizer child spans); with a non-null `capture`, appends one
-  // Candidate per rewriting.
-  bool CostAndPick(const ViewSnapshot& vs, const ConjunctiveQuery& query,
-                   CostModel model,
+  // One planning call as the steps below see it; the public methods differ
+  // only in how they fill it in. `vs` is pinned once at the public entry,
+  // so a call never mixes view-set generations.
+  struct Call {
+    const ViewSnapshot& vs;
+    const ConjunctiveQuery& query;
+    const PlanRequestOptions& request;
+    TraceContext trace = {};  // the "plan" span once Run has opened it
+    PlanExplanation* explain = nullptr;         // Explain
+    const CanonicalQuery* canonical = nullptr;  // PlanMany: computed up front
+    bool serial = false;      // PlanMany: CoreCover runs single-threaded
+    bool cache_only = false;  // TryPlanFromCache: a miss plans nothing
+  };
+  // CostAndPick's winner: its index among the rewritings, whether the
+  // advisor appended filters to it, and whether its order is greedy.
+  struct Pick {
+    PlanChoice choice;
+    size_t index = 0;
+    bool filtered = false;
+    bool greedy = false;
+  };
+
+  // The shared entry behind every public planning method: installs the
+  // request's governor, canonicalizes and looks the query up, serves a hit
+  // or plans a miss, stamps the budget outcome, and records metrics, spans
+  // and the explanation. Returns nullopt only for a cache-only miss.
+  std::optional<PlanResult> Run(Call call) const;
+  // Runs CoreCover + costing; with a `canonical` form, the logical outcome
+  // is also inserted into the cache.
+  PlanResult PlanViaCoreCover(const Call& call,
+                              const CanonicalQuery* canonical) const;
+  // Re-costs a cached entry; `transport` renames its canonical variables
+  // into the query's.
+  PlanResult PlanFromEntry(const Call& call, const CachedPlan& entry,
+                           const Substitution& transport) const;
+  // The step both paths share: costs the (non-empty) `rewritings`,
+  // certifies the winner against `minimized` — reusing `entry`'s stored
+  // certificate (along `transport`) when it re-verifies, else storing a
+  // fresh one — and grace-certifies when the request budget died first.
+  PlanResult CostCertify(const Call& call,
+                         const std::vector<ConjunctiveQuery>& rewritings,
+                         const std::vector<Atom>& filter_atoms,
+                         const ConjunctiveQuery& minimized,
+                         const CachedPlan* entry,
+                         const Substitution& transport) const;
+  // Picks the cheapest rewriting under the request's model against the
+  // snapshot's instances ("cost_and_pick" span; Candidates when explaining).
+  Pick CostAndPick(const Call& call,
                    const std::vector<ConjunctiveQuery>& rewritings,
-                   const std::vector<Atom>& filter_atoms, PlanChoice* best,
-                   size_t* winner_index, bool* winner_filtered,
-                   const TraceContext& trace = {},
-                   std::vector<PlanExplanation::Candidate>* capture =
-                       nullptr) const;
-  // Re-certifies `rewriting` against `minimized` under a fresh governor with
-  // fallback_work_budget work units, shielded from the caller's (exhausted)
-  // governor. Used when the request budget died mid-certification.
-  std::optional<EquivalenceCertificate> GraceCertify(
-      const ViewSnapshot& vs, const ConjunctiveQuery& rewriting,
-      const ConjunctiveQuery& minimized) const;
+                   const std::vector<Atom>& filter_atoms) const;
   // Last rung of the degradation ladder: the request budget died before
-  // CoreCover found any rewriting. Retries with a work-budgeted MiniCon run
+  // CoreCover found any rewriting. Retries with a grace-governed MiniCon run
   // (when enable_minicon_fallback) and certifies its winner; otherwise (or
   // when MiniCon's grace budget dies too) returns kBudgetExhausted.
-  PlanResult MiniConFallback(const ViewSnapshot& vs,
-                             const ConjunctiveQuery& query, CostModel model,
-                             const CoreCoverResult& cc_result,
-                             const TraceContext& trace,
-                             PlanExplanation* explain) const;
+  PlanResult MiniConFallback(const Call& call,
+                             const CoreCoverResult& cc_result) const;
 
   Options options_;
   std::unique_ptr<PlanCache> cache_;

@@ -47,14 +47,13 @@ ResourceLimits PlanRequestOptions::limits() const {
 }
 
 PlanRequestOptions PlanRequestOptions::StricterOf(
-    const PlanRequestOptions& other) const {
+    const ResourceLimits& cap) const {
   PlanRequestOptions merged = *this;
-  merged.deadline_ms = StricterMs(deadline_ms, other.deadline_ms);
-  merged.work_limit = StricterUnits(work_limit, other.work_limit);
+  merged.deadline_ms = StricterMs(deadline_ms, cap.deadline_ms);
+  merged.work_limit = StricterUnits(work_limit, cap.work_limit);
   merged.memory_limit_bytes =
-      StricterUnits(memory_limit_bytes, other.memory_limit_bytes);
-  merged.search_node_cap =
-      StricterUnits(search_node_cap, other.search_node_cap);
+      StricterUnits(memory_limit_bytes, cap.memory_limit_bytes);
+  merged.search_node_cap = StricterUnits(search_node_cap, cap.search_node_cap);
   return merged;
 }
 

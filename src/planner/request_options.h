@@ -16,16 +16,13 @@ namespace vbr {
 // should be served: which cost model, how long it may run, and how much
 // work/memory it may consume. Every entry point consumes the same struct —
 // in-process ViewPlanner::Plan / PlanningService::Submit, vbr_cli flags,
-// the binary wire protocol (net/frame.h), and the HTTP /plan endpoint —
-// replacing the per-surface option structs that used to drift apart
-// (ViewPlanner::Options' request budget, PlanningService::PlanRequest's
-// model/deadline pair, ad-hoc CLI flag plumbing).
+// the binary wire protocol (net/frame.h), and the HTTP /plan endpoint.
 //
-// All limits are "0 = unset": an unset field inherits the consumer's
-// default (the planner's Options::budget, the service's Options::budget,
-// the server's request_defaults), and when both sides set a field the
-// STRICTER one wins — a client can always narrow its own request, never
-// widen a server-side cap.
+// All limits are "0 = unset". Where a request meets a server-side cap (the
+// PlanningService's `budget` and `brownout_budget`), StricterOf merges the
+// two: an unset field inherits the cap's value, and when both sides set a
+// field the STRICTER one wins — a client can always narrow its own
+// request, never widen a server-side cap.
 struct PlanRequestOptions {
   CostModel model = CostModel::kM2;
   // Wall-clock deadline measured from submission, ms; 0 = none. At the
@@ -50,11 +47,10 @@ struct PlanRequestOptions {
            search_node_cap == 0;
   }
 
-  // Field-wise merge with a second options struct acting as the default /
-  // cap: unset fields inherit `other`'s value; fields set on both sides
-  // take the stricter (smaller) one. `model` is not merged — the request's
-  // model always stands.
-  PlanRequestOptions StricterOf(const PlanRequestOptions& other) const;
+  // Field-wise merge with a server-side cap: unset fields inherit the
+  // cap's value; fields set on both sides take the stricter (smaller) one.
+  // The request's model stands.
+  PlanRequestOptions StricterOf(const ResourceLimits& cap) const;
 
   // One canonical JSON dialect, shared by the CLI, the HTTP endpoint, and
   // tests:

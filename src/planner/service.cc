@@ -29,7 +29,6 @@ struct ServiceMetrics {
   Counter* cache_only_hits;
   Counter* model_demotions;
   Histogram* queue_wait_us;
-  Histogram* queue_wait_ms;
   Histogram* serve_us;
 
   static const ServiceMetrics& Get() {
@@ -48,30 +47,12 @@ struct ServiceMetrics {
       m.cache_only_hits = registry.GetCounter("service.cache_only_hits");
       m.model_demotions = registry.GetCounter("service.model_demotions");
       m.queue_wait_us = registry.GetHistogram("service.queue_wait_us");
-      // Millisecond-resolution twin of queue_wait_us, recorded for EVERY
-      // dequeued request (served, expired, or shutdown-shed) so the
-      // saturation bench can read queue pressure without instrumenting
-      // callers.
-      m.queue_wait_ms = registry.GetHistogram("service.queue_wait_ms");
       m.serve_us = registry.GetHistogram("service.serve_us");
       return m;
     }();
     return metrics;
   }
 };
-
-// The stricter of two limits, where 0 means "unlimited".
-double StricterMs(double a, double b) {
-  if (a <= 0) return b;
-  if (b <= 0) return a;
-  return std::min(a, b);
-}
-
-uint64_t StricterUnits(uint64_t a, uint64_t b) {
-  if (a == 0) return b;
-  if (b == 0) return a;
-  return std::min(a, b);
-}
 
 }  // namespace
 
@@ -315,14 +296,6 @@ PlanningService::PlanResponse PlanningService::Plan(PlanRequest request) {
   return Submit(std::move(request)).get();
 }
 
-PlanningService::PlanResponse PlanningService::Plan(ConjunctiveQuery query,
-                                                    CostModel model) {
-  PlanRequest request;
-  request.query = std::move(query);
-  request.options.model = model;
-  return Plan(std::move(request));
-}
-
 void PlanningService::WorkerLoop() {
   for (;;) {
     std::unique_ptr<Request> request;
@@ -335,10 +308,10 @@ void PlanningService::WorkerLoop() {
       queue_.pop_front();
       shed_pending = stopping_ && drain_mode_ == DrainMode::kShedPending;
     }
-    // Every dequeued request records its queue wait, whatever its fate —
-    // the ms histogram is the saturation bench's queue-pressure signal.
-    ServiceMetrics::Get().queue_wait_ms->Record(
-        static_cast<uint64_t>(request->queued.ElapsedMillis()));
+    // Every dequeued request records its queue wait, whatever its fate
+    // (served, expired, or shutdown-shed).
+    ServiceMetrics::Get().queue_wait_us->Record(
+        static_cast<uint64_t>(request->queued.ElapsedMillis() * 1000.0));
     if (shed_pending) {
       // Shutdown policy, not a health signal: do not feed the breaker.
       Shed(*request, "shutdown shed the pending queue",
@@ -355,30 +328,20 @@ uint32_t PlanningService::EffectiveLevel() const {
   return std::min(breaker_.level(), breaker_.reject_level() - 1);
 }
 
-ResourceLimits PlanningService::AttemptLimits(
-    uint32_t level, double remaining_ms,
-    const PlanRequestOptions& request) const {
-  // Service-wide cap tightened by the request's own budget: a client can
-  // narrow its request but never widen the operator's limits.
-  ResourceLimits limits = options_.budget;
-  limits.work_limit = StricterUnits(limits.work_limit, request.work_limit);
-  limits.memory_limit_bytes =
-      StricterUnits(limits.memory_limit_bytes, request.memory_limit_bytes);
-  limits.search_node_cap =
-      StricterUnits(limits.search_node_cap, request.search_node_cap);
-  if (level >= 2) {
-    const ResourceLimits& shrunken = options_.brownout_budget;
-    limits.deadline_ms = StricterMs(limits.deadline_ms, shrunken.deadline_ms);
-    limits.work_limit = StricterUnits(limits.work_limit, shrunken.work_limit);
-    limits.memory_limit_bytes =
-        StricterUnits(limits.memory_limit_bytes, shrunken.memory_limit_bytes);
-    limits.search_node_cap =
-        StricterUnits(limits.search_node_cap, shrunken.search_node_cap);
+PlanRequestOptions PlanningService::AttemptOptions(const Request& request,
+                                                   uint32_t level,
+                                                   CostModel model) const {
+  PlanRequestOptions attempt = request.request.options;
+  attempt.model = model;
+  // The deadline counts from submission, so an attempt gets what is left.
+  if (attempt.deadline_ms > 0) {
+    attempt.deadline_ms = std::max(
+        0.001, attempt.deadline_ms - request.queued.ElapsedMillis());
   }
-  if (remaining_ms > 0) {
-    limits.deadline_ms = StricterMs(limits.deadline_ms, remaining_ms);
-  }
-  return limits;
+  // A client can narrow its request but never widen the operator's limits.
+  attempt = attempt.StricterOf(options_.budget);
+  if (level >= 2) attempt = attempt.StricterOf(options_.brownout_budget);
+  return attempt;
 }
 
 void PlanningService::Shed(Request& request, const std::string& why,
@@ -399,7 +362,6 @@ void PlanningService::Shed(Request& request, const std::string& why,
 void PlanningService::Serve(Request& request) {
   const ServiceMetrics& metrics = ServiceMetrics::Get();
   const double waited_ms = request.queued.ElapsedMillis();
-  metrics.queue_wait_us->Record(static_cast<uint64_t>(waited_ms * 1000.0));
   const double deadline_ms = request.request.options.deadline_ms;
   if (deadline_ms > 0 && waited_ms >= deadline_ms) {
     // Too late to be useful; shedding now is cheaper than planning a result
@@ -429,11 +391,14 @@ void PlanningService::Serve(Request& request) {
   CostModel model = request.request.options.model;
   bool served = false;
   // Rung 3: cached-or-M1-only. Warm traffic is still answered (a cache hit
-  // re-costs but never searches); cold traffic is demoted to M1, the
-  // instance-independent model with the cheapest costing loop.
+  // re-costs but never searches, under the attempt's budget); cold traffic
+  // is demoted to M1, the instance-independent model with the cheapest
+  // costing loop.
   if (level >= 3) {
     if (std::optional<ViewPlanner::PlanResult> cached =
-            planner_->TryPlanFromCache(request.request.query, model)) {
+            planner_->TryPlanFromCache(request.request.query,
+                                       AttemptOptions(request, level, model),
+                                       trace)) {
       response.result = std::move(*cached);
       response.served_from_cache_only = true;
       served = true;
@@ -453,22 +418,9 @@ void PlanningService::Serve(Request& request) {
   if (!served) {
     for (;;) {
       ++attempts;
-      const double remaining_ms =
-          deadline_ms > 0
-              ? std::max(0.001, deadline_ms - request.queued.ElapsedMillis())
-              : 0;
-      const ResourceLimits limits =
-          AttemptLimits(level, remaining_ms, request.request.options);
-      // Rung 2 (and the deadline) act through the governor installed here;
-      // the planner's own Options::budget is typically unlimited in service
-      // deployments, so this governor is the one its pipeline observes.
-      std::optional<ResourceGovernor> governor;
-      std::optional<GovernorScope> scope;
-      if (!limits.unlimited()) {
-        governor.emplace(limits);
-        scope.emplace(&*governor);
-      }
-      response.result = planner_->Plan(request.request.query, model, trace);
+      // Rung 2 (and the deadline) act through the attempt's options.
+      response.result = planner_->Plan(
+          request.request.query, AttemptOptions(request, level, model), trace);
       const bool transient =
           response.result.status == PlanStatus::kBudgetExhausted &&
           response.result.exhaustion.kind == BudgetKind::kInjected;

@@ -39,8 +39,9 @@ namespace vbr {
 //    deadline provably cannot be met at the current backlog, or when the
 //    circuit breaker has opened),
 //  * a fixed pool of worker threads (the concurrency limiter),
-//  * per-request resource budgets derived from the request deadline and
-//    installed as a ResourceGovernor around the planner call,
+//  * per-attempt resource budgets: the request's own PlanRequestOptions,
+//    its deadline cut to what is left of it and capped by the service's
+//    budgets, handed to the planner's one governed entry point,
 //  * jittered exponential-backoff retries for TRANSIENTLY faulted requests
 //    (injected faults, BudgetKind::kInjected) — genuine budget exhaustion
 //    is not transient and is never retried,
@@ -107,26 +108,14 @@ class PlanningService {
     ConjunctiveQuery query;
     // The transport-neutral request options (planner/request_options.h):
     // cost model, wall-clock deadline measured from Submit() (feeds the
-    // admission estimate, the queue-expiry check, and the per-request
+    // admission estimate, the queue-expiry check, and each attempt's
     // governor), and the request's own work/memory budget. Budget fields
-    // merge STRICTER-WINS with the service-wide Options::budget cap, so a
-    // client can narrow but never widen what the operator configured.
+    // merge STRICTER-WINS with the service-wide `budget` cap, so a client
+    // can narrow but never widen what the operator configured.
     PlanRequestOptions options;
     // Optional trace sink for this request's span tree. Shed (ignored) at
     // brown-out level >= 1.
     TraceSink* trace = nullptr;
-
-    // DEPRECATED shim (kept one release) for callers that populated the
-    // old {query, model, deadline_ms} members directly.
-    [[deprecated("populate PlanRequest::options instead")]]
-    static PlanRequest Make(ConjunctiveQuery query, CostModel model,
-                            double deadline_ms = 0) {
-      PlanRequest request;
-      request.query = std::move(query);
-      request.options.model = model;
-      request.options.deadline_ms = deadline_ms;
-      return request;
-    }
   };
 
   struct PlanResponse {
@@ -177,11 +166,11 @@ class PlanningService {
     uint64_t retry_seed = 0x5eed;
     // Brown-out ladder breaker.
     CircuitBreakerOptions breaker;
-    // Service-wide budget CAP installed (as a ResourceGovernor) around
-    // planner calls; unlimited by default. Each request's own
-    // PlanRequestOptions budget merges into this stricter-wins, and a
-    // request deadline additionally tightens deadline_ms to the time the
-    // request has left at dequeue.
+    // Service-wide budget CAP on every planning attempt; unlimited by
+    // default. Each request's own budget merges into it stricter-wins
+    // (PlanRequestOptions::StricterOf), and a request deadline additionally
+    // tightens deadline_ms to the time the request has left when the
+    // attempt starts.
     ResourceLimits budget;
     // The SHRUNKEN budget applied at brown-out level >= 2: each limit is
     // the stricter of `budget` and this (0 fields inherit `budget`).
@@ -267,7 +256,6 @@ class PlanningService {
 
   // Blocking convenience: Submit + wait.
   PlanResponse Plan(PlanRequest request);
-  PlanResponse Plan(ConjunctiveQuery query, CostModel model);
 
   // Stops the service: no new submissions are admitted, queued requests are
   // drained or shed per `mode`, and the workers are joined. Idempotent;
@@ -306,11 +294,11 @@ class PlanningService {
   void Shed(Request& request, const std::string& why, bool record_failure);
   // The effective brown-out rung for a request about to be planned.
   uint32_t EffectiveLevel() const;
-  // The governor limits for one attempt at `level`: the service-wide cap
-  // tightened by the request's own budget (stricter-wins) and, when the
-  // request has a deadline, by the `remaining_ms` it has left (0 = none).
-  ResourceLimits AttemptLimits(uint32_t level, double remaining_ms,
-                               const PlanRequestOptions& request) const;
+  // The options one planning attempt of `request` runs under at `level`:
+  // the request's own, under `model`, with its deadline cut to what is
+  // left of it, capped stricter-wins by the service's budgets.
+  PlanRequestOptions AttemptOptions(const Request& request, uint32_t level,
+                                    CostModel model) const;
 
   const ViewPlanner* const planner_;
   const Options options_;

@@ -140,6 +140,12 @@ class CoreSearch {
         // means it must appear in the tuple and map to itself. Not in the
         // tuple => impossible.
         return false;
+      } else if (existential_.count(t) == 0) {
+        // Any other variable is not an argument of the rewriting, so it may
+        // map only onto an existential of the expansion: a tuple argument
+        // there is another query variable, and a constant is fixed, so
+        // either image would equate terms the query keeps apart.
+        return false;
       }
       // Property (1): injectivity.
       if (!RegisterImage(t, s, undo)) return false;

@@ -818,10 +818,10 @@ void PlanServer::DebugLoop() {
     std::string error;
     const std::string& text = job.request.params.at("q");
     std::optional<ConjunctiveQuery> query = ParseQuery(text, &error);
-    CostModel model = CostModel::kM2;
+    PlanRequestOptions request;
     if (const auto it = job.request.params.find("model");
         it != job.request.params.end() &&
-        !CostModelFromName(it->second, &model)) {
+        !CostModelFromName(it->second, &request.model)) {
       code = 400;
       body = JsonError("model must be m1|m2|m3");
     } else if (!query.has_value()) {
@@ -829,7 +829,7 @@ void PlanServer::DebugLoop() {
       body = JsonError("query parse error: " + error);
     } else {
       const ViewPlanner::PlanExplanation explanation =
-          service_->planner().Explain(*query, model);
+          service_->planner().Explain(*query, request);
       body = explanation.ToJson();
     }
     std::string wire =

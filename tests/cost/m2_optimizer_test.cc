@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #include "cq/parser.h"
 #include "engine/materialize.h"
@@ -88,6 +90,31 @@ TEST(M2OptimizerTest, EmptyViewRelationMakesPlansCheap) {
   const auto result = OptimizeOrderM2(p, db);
   // All IRs that include va are empty; cost = sizes only.
   EXPECT_LE(result.cost, 2u);
+}
+
+// Past the subset DP's width the optimizer orders greedily instead of
+// aborting: a permutation whose reported cost is that order's M2 cost.
+TEST(M2OptimizerTest, WideRewritingGetsAGreedyOrder) {
+  Database db;
+  std::string text = "q(X0) :- ";
+  for (Value i = 0; i < 22; ++i) {
+    if (i > 0) text += ", ";
+    const std::string v = "v" + std::to_string(i);
+    text += v + "(X" + std::to_string(i) + ",X" + std::to_string(i + 1) + ")";
+    for (Value r = 0; r <= i % 3; ++r) db.AddRow(v, {r, r});
+  }
+  const auto p = MustParseQuery(text);
+  const auto wide = OptimizeOrderM2(p, db);
+  EXPECT_TRUE(wide.greedy);
+  EXPECT_FALSE(wide.aborted);
+  std::vector<size_t> sorted = wide.plan.order;
+  std::sort(sorted.begin(), sorted.end());
+  std::vector<size_t> identity(22);
+  std::iota(identity.begin(), identity.end(), 0);
+  EXPECT_EQ(sorted, identity);
+  EXPECT_EQ(wide.cost, CostOfOrderM2(p, wide.plan.order, db));
+
+  EXPECT_FALSE(OptimizeOrderM2(MustParseQuery("q(X) :- v0(X,Y)"), db).greedy);
 }
 
 }  // namespace

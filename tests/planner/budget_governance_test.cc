@@ -21,6 +21,7 @@
 #include "engine/materialize.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
+#include "planner/service.h"
 #include "rewrite/certificate.h"
 #include "workload/generator.h"
 
@@ -52,10 +53,9 @@ Workload SmallChain() {
   return GenerateWorkload(wc);
 }
 
-ViewPlanner::Options GovernedOptions(ResourceLimits budget) {
+ViewPlanner::Options GovernedOptions() {
   ViewPlanner::Options options;
   options.core_cover.num_threads = 1;
-  options.budget = budget;
   options.fallback_work_budget = 5'000;  // keep ladder rungs test-fast
   return options;
 }
@@ -70,13 +70,13 @@ class BudgetGovernanceTest : public ::testing::Test {
 // returns promptly with kBudgetExhausted or a certified best-so-far plan.
 TEST_F(BudgetGovernanceTest, AdversarialChainRespectsDeadline) {
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.deadline_ms = 100;
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .deadline_ms = 100};
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
+                      GovernedOptions());
 
   const auto start = std::chrono::steady_clock::now();
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(w.query, request);
   const double elapsed_ms =
       std::chrono::duration<double, std::milli>(
           std::chrono::steady_clock::now() - start)
@@ -107,10 +107,10 @@ TEST_F(BudgetGovernanceTest, WorkBudgetLadderIsSoundAtEveryLevel) {
   const Database instances = MaterializeViews(w.views, Database{});
   for (const uint64_t work_limit : {uint64_t{10}, uint64_t{500},
                                     uint64_t{2000}, uint64_t{5000}}) {
-    ResourceLimits budget;
-    budget.work_limit = work_limit;
-    ViewPlanner planner(w.views, instances, GovernedOptions(budget));
-    const auto result = planner.Plan(w.query, CostModel::kM2);
+    const PlanRequestOptions request{.model = CostModel::kM2,
+                                     .work_limit = work_limit};
+    ViewPlanner planner(w.views, instances, GovernedOptions());
+    const auto result = planner.Plan(w.query, request);
     ASSERT_TRUE(result.status == PlanStatus::kOk ||
                 result.status == PlanStatus::kBudgetExhausted)
         << "work_limit=" << work_limit << ": "
@@ -143,10 +143,10 @@ TEST_F(BudgetGovernanceTest, GenerousBudgetMatchesUngoverned) {
   const auto baseline = ungoverned.Plan(w.query, CostModel::kM2);
   ASSERT_TRUE(baseline.ok());
 
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner governed(w.views, instances, GovernedOptions(budget));
-  const auto result = governed.Plan(w.query, CostModel::kM2);
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .work_limit = uint64_t{1} << 40};
+  ViewPlanner governed(w.views, instances, GovernedOptions());
+  const auto result = governed.Plan(w.query, request);
   ASSERT_TRUE(result.ok());
   EXPECT_FALSE(result.degraded);
   EXPECT_EQ(result.exhaustion.kind, BudgetKind::kNone);
@@ -169,12 +169,12 @@ TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
 
   // A huge work limit installs a governor that never trips on its own; the
   // armed fault is the only exhaustion source.
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner planner(w.views, instances, GovernedOptions(budget));
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .work_limit = uint64_t{1} << 40};
+  ViewPlanner planner(w.views, instances, GovernedOptions());
   FaultRegistry::Global().Arm("corecover.minimize",
                               FaultKind::kBudgetExhausted, 1);
-  const auto faulted = planner.Plan(w.query, CostModel::kM2);
+  const auto faulted = planner.Plan(w.query, request);
   FaultRegistry::Global().Reset();
   ASSERT_TRUE(faulted.status == PlanStatus::kOk ||
               faulted.status == PlanStatus::kBudgetExhausted);
@@ -184,7 +184,7 @@ TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
   }
 
   // The retry must not be served a partial enumeration from the cache.
-  const auto retried = planner.Plan(w.query, CostModel::kM2);
+  const auto retried = planner.Plan(w.query, request);
   ASSERT_TRUE(retried.ok()) << PlanStatusName(retried.status);
   EXPECT_FALSE(retried.degraded);
   EXPECT_EQ(retried.choice->logical.ToString(),
@@ -199,14 +199,16 @@ TEST_F(BudgetGovernanceTest, ExhaustedRunDoesNotPoisonTheCache) {
 // probes as "no mapping" and cache the non-minimal result as a full answer.
 TEST_F(BudgetGovernanceTest, ExhaustedMinimizeSurfacesAndSkipsTheCache) {
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;  // never trips on its own
-  budget.search_node_cap = 4;  // every backtracking search aborts
-  ViewPlanner::Options options = GovernedOptions(budget);
+  const PlanRequestOptions request{
+      .model = CostModel::kM2,
+      .work_limit = uint64_t{1} << 40,  // never trips on its own
+      .search_node_cap = 4,             // every backtracking search aborts
+  };
+  ViewPlanner::Options options = GovernedOptions();
   options.enable_minicon_fallback = false;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(w.query, request);
   ASSERT_EQ(result.status, PlanStatus::kBudgetExhausted)
       << PlanStatusName(result.status);
   EXPECT_EQ(result.exhaustion.kind, BudgetKind::kWork);
@@ -220,13 +222,13 @@ TEST_F(BudgetGovernanceTest, ExhaustedMinimizeSurfacesAndSkipsTheCache) {
 // retry must still deliver a certified plan.
 TEST_F(BudgetGovernanceTest, MiniConFallbackRecoversAPlan) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .work_limit = uint64_t{1} << 40};
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
+                      GovernedOptions());
   FaultRegistry::Global().Arm("corecover.set_cover", FaultKind::kStageAbort,
                               1);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(w.query, request);
   FaultRegistry::Global().Reset();
   ASSERT_EQ(result.status, PlanStatus::kOk)
       << PlanStatusName(result.status) << " " << result.error;
@@ -240,19 +242,66 @@ TEST_F(BudgetGovernanceTest, MiniConFallbackRecoversAPlan) {
 // Disabling the fallback turns the same scenario into kBudgetExhausted.
 TEST_F(BudgetGovernanceTest, FallbackCanBeDisabled) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner::Options options = GovernedOptions(budget);
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .work_limit = uint64_t{1} << 40};
+  ViewPlanner::Options options = GovernedOptions();
   options.enable_minicon_fallback = false;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
   FaultRegistry::Global().Arm("corecover.set_cover", FaultKind::kStageAbort,
                               1);
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+  const auto result = planner.Plan(w.query, request);
   FaultRegistry::Global().Reset();
   EXPECT_EQ(result.status, PlanStatus::kBudgetExhausted);
   EXPECT_FALSE(result.choice.has_value());
   EXPECT_FALSE(result.error.empty());
+}
+
+double MillisSince(std::chrono::steady_clock::time_point start) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - start)
+      .count();
+}
+
+// The ladder's grace rungs take max(5 ms, deadline / 4) from the request's
+// own deadline on every path. Killing view-tuple generation sends the
+// adversarial chain to the MiniCon fallback, which without that deadline
+// spends its whole default work budget (about a second).
+TEST_F(BudgetGovernanceTest, GraceRungsHonourTheRequestDeadline) {
+  const Workload w = AdversarialChain();
+  ViewPlanner::Options options;
+  options.core_cover.num_threads = 1;
+  const ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
+                            options);
+  const PlanRequestOptions request{.model = CostModel::kM2,
+                                   .deadline_ms = 10};
+  auto check = [&](const ViewPlanner::PlanResult& result, double ms) {
+    EXPECT_LT(ms, 250.0);
+    EXPECT_TRUE(result.status == PlanStatus::kOk ||
+                result.status == PlanStatus::kBudgetExhausted)
+        << PlanStatusName(result.status);
+    EXPECT_NE(result.exhaustion.kind, BudgetKind::kNone);
+    if (result.ok()) {
+      EXPECT_TRUE(VerifyCertificate(result.choice->certificate, w.views));
+    }
+  };
+
+  FaultRegistry::Global().Arm("corecover.view_tuples",
+                              FaultKind::kBudgetExhausted, 1);
+  auto start = std::chrono::steady_clock::now();
+  const auto direct = planner.Plan(w.query, request);
+  check(direct, MillisSince(start));
+
+  PlanningService service(&planner, PlanningService::Options{});
+  FaultRegistry::Global().Reset();
+  FaultRegistry::Global().Arm("corecover.view_tuples",
+                              FaultKind::kBudgetExhausted, 1);
+  start = std::chrono::steady_clock::now();
+  const auto response = service.Plan({w.query, request});
+  const double service_ms = MillisSince(start);
+  ASSERT_EQ(response.status, PlanningService::ServiceStatus::kOk)
+      << response.error;
+  check(response.result, service_ms);
 }
 
 // planner.deadline_exceeded ticks exactly on deadline deaths.
@@ -265,11 +314,10 @@ TEST_F(BudgetGovernanceTest, DeadlineMetricIncrements) {
   const uint64_t exhausted_before = exhausted_metric->value();
 
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.deadline_ms = 50;
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
-  const auto result = planner.Plan(w.query, CostModel::kM2);
+                      GovernedOptions());
+  const auto result =
+      planner.Plan(w.query, {.model = CostModel::kM2, .deadline_ms = 50});
   ASSERT_NE(result.exhaustion.kind, BudgetKind::kNone);
   EXPECT_EQ(deadline_metric->value(), deadline_before + 1);
   EXPECT_EQ(exhausted_metric->value(), exhausted_before + 1);
@@ -279,14 +327,13 @@ TEST_F(BudgetGovernanceTest, DeadlineMetricIncrements) {
 // (satellite 2): both must be visible in the text and JSON renderings.
 TEST_F(BudgetGovernanceTest, ExplainSurfacesBudgetAndTruncation) {
   const Workload w = SmallChain();
-  ResourceLimits budget;
-  budget.work_limit = uint64_t{1} << 40;
-  ViewPlanner::Options options = GovernedOptions(budget);
+  ViewPlanner::Options options = GovernedOptions();
   options.core_cover.max_rewritings = 1;  // force the cap
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
                       options);
   FaultRegistry::Global().Arm("cost.m2", FaultKind::kBudgetExhausted, 1);
-  const auto explanation = planner.Explain(w.query, CostModel::kM2);
+  const auto explanation = planner.Explain(
+      w.query, {.model = CostModel::kM2, .work_limit = uint64_t{1} << 40});
   FaultRegistry::Global().Reset();
 
   ASSERT_TRUE(explanation.ok()) << explanation.error;
@@ -307,12 +354,12 @@ TEST_F(BudgetGovernanceTest, ExplainSurfacesBudgetAndTruncation) {
 // an exhausted representative never feeds its duplicates a partial entry.
 TEST_F(BudgetGovernanceTest, PlanManySurvivesExhaustedRepresentative) {
   const Workload w = AdversarialChain();
-  ResourceLimits budget;
-  budget.work_limit = 100;  // dies in CoreCover for every member
   ViewPlanner planner(w.views, MaterializeViews(w.views, Database{}),
-                      GovernedOptions(budget));
+                      GovernedOptions());
   const std::vector<ConjunctiveQuery> batch = {w.query, w.query, w.query};
-  const auto results = planner.PlanMany(batch, CostModel::kM2);
+  // The work limit dies in CoreCover for every member.
+  const auto results =
+      planner.PlanMany(batch, {.model = CostModel::kM2, .work_limit = 100});
   ASSERT_EQ(results.size(), batch.size());
   for (const auto& result : results) {
     ASSERT_TRUE(result.status == PlanStatus::kOk ||

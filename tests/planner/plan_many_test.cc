@@ -90,7 +90,7 @@ TEST(PlanManyTest, MatchesSerialPlansAtEveryThreadCount) {
       ViewPlanner::Options options;
       options.core_cover.num_threads = threads;
       ViewPlanner planner(w.views, view_db, options);
-      const auto results = planner.PlanMany(batch, model);
+      const auto results = planner.PlanMany(batch, {.model = model});
       ASSERT_EQ(results.size(), batch.size());
       for (size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(ResultKey(results[i]), expected[i])
@@ -109,7 +109,7 @@ TEST(PlanManyTest, DeduplicatesInFlight) {
       MustParseQuery("q1(T,D) :- part(T,N,D), loc(a,D), car(N,a)"),
       CarLocPartQuery(),
   };
-  const auto results = planner.PlanMany(batch, CostModel::kM1);
+  const auto results = planner.PlanMany(batch, {.model = CostModel::kM1});
   ASSERT_EQ(results.size(), 3u);
   EXPECT_FALSE(results[0].cache_hit);
   EXPECT_TRUE(results[1].cache_hit);
@@ -135,7 +135,7 @@ TEST(PlanManyTest, DedupPropagatesFlagsToEveryWaiter) {
     batch.push_back(RenameVariablesApart(CarLocPartQuery(),
                                          "w" + std::to_string(i), &renaming));
   }
-  const auto results = planner.PlanMany(batch, CostModel::kM1);
+  const auto results = planner.PlanMany(batch, {.model = CostModel::kM1});
   ASSERT_EQ(results.size(), 4u);
   EXPECT_FALSE(results[0].cache_hit);
   for (size_t i = 1; i < results.size(); ++i) {
@@ -166,7 +166,6 @@ TEST(PlanManyTest, DedupExhaustedLeaderDoesNotPoisonWaiters) {
   const Workload w = GenerateWorkload(wc);
 
   ViewPlanner::Options options;
-  options.budget.work_limit = 1;  // dies before any rewriting is found
   options.enable_minicon_fallback = false;
   ViewPlanner planner(w.views, Database{}, options);
 
@@ -177,7 +176,9 @@ TEST(PlanManyTest, DedupExhaustedLeaderDoesNotPoisonWaiters) {
     batch.push_back(
         RenameVariablesApart(w.query, "x" + std::to_string(i), &renaming));
   }
-  const auto results = planner.PlanMany(batch, CostModel::kM1);
+  // The work limit dies before any rewriting is found.
+  const auto results =
+      planner.PlanMany(batch, {.model = CostModel::kM1, .work_limit = 1});
   ASSERT_EQ(results.size(), 3u);
   for (size_t i = 0; i < results.size(); ++i) {
     EXPECT_EQ(results[i].status, PlanStatus::kBudgetExhausted) << "i=" << i;

@@ -10,8 +10,10 @@
 
 #include "common/json.h"
 #include "cq/parser.h"
+#include "engine/materialize.h"
 #include "planner/plan_cache.h"
 #include "planner/planner.h"
+#include "rewrite/certificate.h"
 
 namespace vbr {
 namespace {
@@ -76,7 +78,7 @@ TEST(PlannerErrorPathsTest, PlanManyCarriesPerQueryStatuses) {
       MustParseQuery("q(X,Y) :- p2(X,Y)."),  // No view covers p2.
       WideQuery(65),                          // Dedups with the earlier one.
   };
-  const auto results = planner.PlanMany(batch, CostModel::kM1);
+  const auto results = planner.PlanMany(batch, {.model = CostModel::kM1});
   ASSERT_EQ(results.size(), 4u);
   EXPECT_EQ(results[0].status, PlanStatus::kOk);
   EXPECT_EQ(results[1].status, PlanStatus::kUnsupportedQueryTooLarge);
@@ -87,7 +89,8 @@ TEST(PlannerErrorPathsTest, PlanManyCarriesPerQueryStatuses) {
 
 TEST(PlannerErrorPathsTest, ExplainReportsTooLargeWithoutCrashing) {
   const ViewPlanner planner(SmallViews(), Database());
-  const auto explanation = planner.Explain(WideQuery(65), CostModel::kM2);
+  const auto explanation =
+      planner.Explain(WideQuery(65), {.model = CostModel::kM2});
   EXPECT_EQ(explanation.status, PlanStatus::kUnsupportedQueryTooLarge);
   EXPECT_FALSE(explanation.ok());
   EXPECT_FALSE(explanation.error.empty());
@@ -106,13 +109,45 @@ TEST(PlannerErrorPathsTest, ExplainReportsTooLargeWithoutCrashing) {
 TEST(PlannerErrorPathsTest, ExplainReportsNoRewriting) {
   const ViewPlanner planner(SmallViews(), Database());
   const auto explanation =
-      planner.Explain(MustParseQuery("q(X,Y) :- p2(X,Y)."), CostModel::kM2);
+      planner.Explain(MustParseQuery("q(X,Y) :- p2(X,Y)."),
+                      {.model = CostModel::kM2});
   EXPECT_EQ(explanation.status, PlanStatus::kNoRewriting);
   EXPECT_TRUE(explanation.candidates.empty());
   std::string error;
   const auto parsed = ParseJson(explanation.ToJson(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
   EXPECT_EQ(parsed->Get("status")->string_value(), "no equivalent rewriting");
+}
+
+// A rewriting wider than the M2 subset DP (22 subgoals) plans and explains
+// under every model instead of aborting the process: M2 and M3 order it
+// greedily and mark the result degraded, and Explain re-measures the
+// winner under M2 and M3 whatever model was requested.
+TEST(PlannerErrorPathsTest, WideRewritingPlansAndExplainsUnderEveryModel) {
+  const ConjunctiveQuery query = WideQuery(22);
+  std::string views_text;
+  Database base;
+  for (Value i = 0; i < 22; ++i) {
+    const std::string n = std::to_string(i);
+    views_text += "v" + n + "(A,B) :- p" + n + "(A,B). ";
+    base.AddRow("p" + n, {i, i + 1});
+  }
+  const ViewSet views = MustParseProgram(views_text);
+  const ViewPlanner planner(views, MaterializeViews(views, base));
+  for (CostModel model :
+       {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    SCOPED_TRACE(CostModelName(model));
+    const auto result = planner.Plan(query, model);
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_EQ(result.choice->logical.num_subgoals(), 22u);
+    EXPECT_EQ(result.degraded, model != CostModel::kM1);
+    EXPECT_TRUE(VerifyCertificate(result.choice->certificate, views));
+    EXPECT_EQ(planner.Execute(*result.choice).size(), 1u);
+
+    const auto explanation = planner.Explain(query, {.model = model});
+    ASSERT_TRUE(explanation.ok()) << explanation.error;
+    EXPECT_EQ(explanation.breakdown.size(), 3u);
+  }
 }
 
 }  // namespace

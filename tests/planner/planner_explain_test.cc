@@ -67,7 +67,8 @@ TEST(PlannerTraceTest, ColdPlanEmitsSpansForEveryStage) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
   MemoryTraceSink sink;
-  const auto result = planner.Plan(f.query, CostModel::kM2, &sink);
+  const auto result =
+      planner.Plan(f.query, {.model = CostModel::kM2}, {&sink});
   ASSERT_TRUE(result.ok());
 
   const auto names = SpanNames(sink);
@@ -108,7 +109,8 @@ TEST(PlannerTraceTest, WarmPlanTracesTheHitPathWithoutCoreCover) {
   ASSERT_TRUE(planner.Plan(f.query, CostModel::kM2).ok());
 
   MemoryTraceSink sink;
-  const auto result = planner.Plan(f.query, CostModel::kM2, &sink);
+  const auto result =
+      planner.Plan(f.query, {.model = CostModel::kM2}, {&sink});
   ASSERT_TRUE(result.ok());
   EXPECT_TRUE(result.cache_hit);
   const auto names = SpanNames(sink);
@@ -126,15 +128,16 @@ TEST(PlannerTraceTest, WarmPlanTracesTheHitPathWithoutCoreCover) {
 TEST(PlannerTraceTest, UntracedPlanEmitsNothingAndAgrees) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
-  const auto traced_planner_result = planner.Plan(f.query, CostModel::kM2,
-                                                  nullptr);
+  const auto traced_planner_result =
+      planner.Plan(f.query, {.model = CostModel::kM2}, {nullptr});
   ASSERT_TRUE(traced_planner_result.ok());
 }
 
 TEST(PlannerExplainTest, ExplainAgreesWithPlan) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
   ASSERT_TRUE(explanation.choice.has_value());
   EXPECT_EQ(explanation.cache_disposition, "miss");
@@ -179,7 +182,8 @@ TEST(PlannerExplainTest, ExplainAgreesWithPlan) {
 TEST(PlannerExplainTest, JsonRoundTripsThroughParser) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
 
   std::string error;
@@ -229,7 +233,8 @@ TEST(PlannerExplainTest, ExplainOnTheHitPathReportsHit) {
   const Fixture f;
   const ViewPlanner planner(f.views, f.instances);
   ASSERT_TRUE(planner.Plan(f.query, CostModel::kM2).ok());
-  const auto explanation = planner.Explain(f.query, CostModel::kM2);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM2});
   ASSERT_TRUE(explanation.ok());
   EXPECT_TRUE(explanation.cache_hit);
   EXPECT_EQ(explanation.cache_disposition, "hit");
@@ -240,7 +245,8 @@ TEST(PlannerExplainTest, ExplainWithDisabledCacheReportsDisabled) {
   ViewPlanner::Options options;
   options.enable_cache = false;
   const ViewPlanner planner(f.views, f.instances, options);
-  const auto explanation = planner.Explain(f.query, CostModel::kM1);
+  const auto explanation =
+      planner.Explain(f.query, {.model = CostModel::kM1});
   ASSERT_TRUE(explanation.ok());
   EXPECT_EQ(explanation.cache_disposition, "disabled");
 }

@@ -5,6 +5,7 @@
 #include "cost/m2_optimizer.h"
 #include "cq/parser.h"
 #include "engine/evaluator.h"
+#include "engine/io.h"
 #include "engine/materialize.h"
 #include "tests/rewrite/fixtures.h"
 #include "workload/data_gen.h"
@@ -47,6 +48,33 @@ TEST(PlannerTest, AllModelsComputeTheExactAnswer) {
     auto result = planner.Plan(CarLocPartQuery(), model);
     ASSERT_TRUE(result.ok());
     EXPECT_TRUE(planner.Execute(*result.choice).EqualsAsSet(expected));
+  }
+}
+
+// A self-join query whose view tuples invite a tuple-core to equate query
+// variables: every model must plan it and compute the exact answer.
+TEST(PlannerTest, SelfJoinQueryPlansTheExactAnswer) {
+  const auto program = MustParseProgram(
+      "q(X0,X1) :- e(X3,X3), e(X1,X4), e(X4,X2), e(X0,X0). "
+      "v0(A2) :- e(A2,A3). v1(A2) :- e(A2,A1). v2(A2,A3) :- e(A3,A2).");
+  const ConjunctiveQuery query = program[0];
+  const ViewSet views(program.begin() + 1, program.end());
+  const auto base = ParseDatabase("e(a,a). e(b,c). e(c,d).");
+  ASSERT_TRUE(base.has_value());
+  const Relation expected = EvaluateQuery(query, *base);
+  const Value a = EncodeConstant(Const("a"));
+  const Value b = EncodeConstant(Const("b"));
+  ASSERT_EQ(expected.size(), 2u);
+  EXPECT_TRUE(expected.Contains({a, a}));
+  EXPECT_TRUE(expected.Contains({a, b}));
+  ViewPlanner planner(views, MaterializeViews(views, *base));
+  for (CostModel model :
+       {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    const auto result = planner.Plan(query, model);
+    ASSERT_TRUE(result.ok()) << PlanStatusName(result.status);
+    EXPECT_TRUE(VerifyCertificate(result.choice->certificate, views));
+    EXPECT_TRUE(planner.Execute(*result.choice).EqualsAsSet(expected))
+        << CostModelName(model) << ": " << result.choice->ToString();
   }
 }
 

@@ -120,8 +120,7 @@ TEST(PlanRequestOptionsTest, StricterOfTakesTheTighterOfEachLimit) {
   a.memory_limit_bytes = 4096;
   a.search_node_cap = 10;
 
-  PlanRequestOptions b;
-  b.model = CostModel::kM1;  // model is NOT merged: a's model wins
+  ResourceLimits b;  // a server-side cap; a's model stands
   b.deadline_ms = 50;
   b.work_limit = 1000;
   b.memory_limit_bytes = 0;  // unlimited

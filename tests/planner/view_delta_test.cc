@@ -143,7 +143,7 @@ TEST(ViewDeltaTest, DeltasRacingPlanManyStayConsistent) {
   });
 
   for (int round = 0; round < 40; ++round) {
-    const auto results = planner.PlanMany(batch, CostModel::kM1);
+    const auto results = planner.PlanMany(batch, {.model = CostModel::kM1});
     ASSERT_EQ(results.size(), batch.size());
     for (const auto& r : results) {
       // Whatever catalog generation each request pinned, the plan is one

@@ -228,7 +228,7 @@ std::string PlanResultKey(const ViewPlanner::PlanResult& r) {
     PlanningService::Options options;
     options.num_workers = 1;
     PlanningService service(&backing, options);
-    const auto response = service.Plan(w.query, model);
+    const auto response = service.Plan({w.query, {.model = model}});
     if (response.status != PlanningService::ServiceStatus::kOk) {
       return ::testing::AssertionFailure()
              << label << "unloaded service did not complete: "

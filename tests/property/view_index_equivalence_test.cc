@@ -204,7 +204,7 @@ std::string PlanKey(const ViewPlanner::PlanResult& r) {
     ViewPlanner::Options options;
     options.core_cover.use_view_index = false;
     ViewPlanner planner(w.views, Database{}, options);
-    for (const auto& r : planner.PlanMany(batch, CostModel::kM1)) {
+    for (const auto& r : planner.PlanMany(batch, {.model = CostModel::kM1})) {
       baseline.push_back(PlanKey(r));
     }
   }
@@ -213,7 +213,7 @@ std::string PlanKey(const ViewPlanner::PlanResult& r) {
     options.core_cover.use_view_index = true;
     options.core_cover.num_threads = threads;
     ViewPlanner planner(w.views, Database{}, options);
-    const auto results = planner.PlanMany(batch, CostModel::kM1);
+    const auto results = planner.PlanMany(batch, {.model = CostModel::kM1});
     for (size_t i = 0; i < results.size(); ++i) {
       if (PlanKey(results[i]) != baseline[i]) {
         return ::testing::AssertionFailure()

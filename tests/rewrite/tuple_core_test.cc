@@ -130,6 +130,24 @@ TEST(TupleCoreTest, Example42SingleTupleCoversWholeQuery) {
   EXPECT_EQ(cores.at("v2(X,Y)"), (std::vector<size_t>{2, 3}));
 }
 
+// A query variable that is not an argument of the view tuple maps only
+// onto an existential variable of the expansion. v0(X1) expands
+// to e(X1,_), so e(X4,X2) would need X4 -> X1, equating two query
+// variables; only v0(X4) covers that subgoal.
+TEST(TupleCoreTest, NonTupleVariableMapsOnlyToAnExistential) {
+  const auto program = MustParseProgram(
+      "q(X0,X1) :- e(X3,X3), e(X1,X4), e(X4,X2), e(X0,X0). "
+      "v0(A2) :- e(A2,A3).");
+  const ConjunctiveQuery query = program[0];
+  const ViewSet views(program.begin() + 1, program.end());
+  const auto cores = CoresByTuple(query, views);
+  EXPECT_TRUE(cores.at("v0(X1)").empty());
+  EXPECT_TRUE(cores.at("v0(X0)").empty());
+  ASSERT_EQ(cores.at("v0(X4)").size(), 1u);
+  const ConjunctiveQuery minimal = Minimize(query);
+  EXPECT_EQ(minimal.subgoal(cores.at("v0(X4)")[0]).ToString(), "e(X4,X2)");
+}
+
 TEST(TupleCoreTest, CoreMaskMatchesCoveredList) {
   const ConjunctiveQuery q = Minimize(CarLocPartQuery());
   const ViewSet views = CarLocPartViews();

@@ -409,8 +409,10 @@ TEST(ServerHygieneTest, DrainFlushesInFlightWorkThenCloses) {
       net::ConnectTcp("127.0.0.1", fx.server->binary_port(), &error);
   ASSERT_TRUE(fd.valid()) << error;
 
-  // Fire a request and IMMEDIATELY drain: the drain must wait for the
-  // in-flight plan, flush its response, and only then close.
+  // Fire a request and drain as soon as the server has read it: the drain
+  // must wait for the in-flight plan, flush its response, and only then
+  // close. (A drain that lands before the frame is read closes an idle
+  // connection, which is correct but not what this test is about.)
   net::PlanRequestFrame request;
   request.request_id = 5;
   request.want_certificate = true;
@@ -419,6 +421,13 @@ TEST(ServerHygieneTest, DrainFlushesInFlightWorkThenCloses) {
   std::string wire;
   EncodePlanRequest(request, &wire);
   ASSERT_TRUE(net::WriteAll(fd.get(), wire.data(), wire.size()));
+  const auto read_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (fx.server->stats().frames_received < 1 &&
+         std::chrono::steady_clock::now() < read_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(fx.server->stats().frames_received, 1u);
 
   std::thread drainer([&] { EXPECT_TRUE(fx.server->Drain(10000)); });
 

@@ -148,7 +148,8 @@ TEST_F(StressHarnessTest, TransientFaultIsRetriedWithDeterministicBackoff) {
   PlanningService service(fx.planner.get(), options);
 
   FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-  const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+  const auto response =
+      service.Plan({fx.workload.query, {.model = CostModel::kM2}});
 
   EXPECT_EQ(response.status, ServiceStatus::kOk);
   EXPECT_EQ(response.result.status, PlanStatus::kOk);
@@ -179,7 +180,8 @@ TEST_F(StressHarnessTest, PersistentFaultFailsAfterRetryBudget) {
   PlanningService service(fx.planner.get(), options);
 
   FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-  const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+  const auto response =
+      service.Plan({fx.workload.query, {.model = CostModel::kM2}});
 
   EXPECT_EQ(response.status, ServiceStatus::kFailed);
   EXPECT_EQ(response.attempts, 3u);
@@ -212,7 +214,8 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   int failures = 0;
   for (int i = 0; i < 64 && service.service_level() < 4; ++i) {
     FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-    const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+    const auto response =
+        service.Plan({fx.workload.query, {.model = CostModel::kM2}});
     ASSERT_EQ(response.status, ServiceStatus::kFailed) << "i=" << i;
     levels_seen.push_back(response.service_level);
     saw_demotion = saw_demotion || response.model_demoted;
@@ -233,7 +236,8 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   int probe_failures = 0;
   for (int i = 0; i < 8; ++i) {
     FaultRegistry::Global().Arm(kFaultSite, FaultKind::kStageAbort, 1);
-    const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+    const auto response =
+        service.Plan({fx.workload.query, {.model = CostModel::kM2}});
     if (response.status == ServiceStatus::kRejected) {
       EXPECT_EQ(response.reject_reason, RejectReason::kOverloaded);
       ++rejected;
@@ -252,7 +256,8 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
   FaultRegistry::Global().Reset();
   int recovery_requests = 0;
   for (int i = 0; i < 200 && service.service_level() > 0; ++i) {
-    const auto response = service.Plan(fx.workload.query, CostModel::kM2);
+    const auto response =
+        service.Plan({fx.workload.query, {.model = CostModel::kM2}});
     if (response.status != ServiceStatus::kRejected) {
       ASSERT_EQ(response.status, ServiceStatus::kOk);
       ++recovery_requests;
@@ -273,7 +278,8 @@ TEST_F(StressHarnessTest, BreakerWalksTheLadderUpAndRecovers) {
 
   // Back at full service, a fresh request plans normally (and now hits the
   // plan cache warmed during recovery).
-  const auto healthy = service.Plan(fx.workload.query, CostModel::kM2);
+  const auto healthy =
+      service.Plan({fx.workload.query, {.model = CostModel::kM2}});
   ASSERT_EQ(healthy.status, ServiceStatus::kOk);
   EXPECT_EQ(healthy.service_level, 0u);
   ASSERT_TRUE(healthy.result.ok());
