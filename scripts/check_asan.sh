@@ -24,6 +24,7 @@ cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target fingerprint_test plan_cache_test plan_many_test \
   planner_test planner_options_test \
   budget_governance_test fault_matrix_test parser_fuzz json_fuzz \
+  fuzz_vbin_decode vbin_corpus_gen \
   frame_test http_test server_integration_test request_options_test
 
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=1" \

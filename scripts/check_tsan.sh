@@ -1,7 +1,8 @@
 #!/bin/sh
 # Builds the library and tests with ThreadSanitizer (-DVBR_SANITIZE=thread)
-# and runs the concurrency-sensitive suites: the SymbolTable stress tests,
-# the threading determinism suite, and the pre-existing determinism tests.
+# and runs the suites that share state across threads. One CoreCover run is
+# single-threaded; concurrency lives across requests, which share the
+# SymbolTable, the ContainmentMemo, the plan cache and the metrics registry.
 # Any reported race fails the run (TSAN_OPTIONS halt_on_error).
 #
 # Usage: scripts/check_tsan.sh [extra ctest -R regex]
@@ -11,12 +12,13 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR=${BUILD_DIR:-build-tsan}
 # ctest names gtest cases "<Suite>.<Test>"; this matches the SymbolTable
-# stress suite, the determinism suites (including budget determinism), the
-# sharded plan cache / batched planning suites, the resource-governance
-# fault-injection suites, the containment-memo determinism suite, the
-# PlanningService stress harness (worker pool, breaker ladder, concurrent
-# ReplaceViews), and the PlanServer integration suite (IO thread vs worker
-# completions vs client threads over real sockets).
+# stress suite, the determinism suites (concurrent CoreCover callers and
+# budget determinism), the sharded plan cache / batched planning suites,
+# the resource-governance fault-injection suites, the containment-memo
+# determinism suite, the PlanningService stress harness (worker pool,
+# breaker ladder, concurrent ReplaceViews), and the PlanServer integration
+# suite (IO thread vs worker completions vs client threads over real
+# sockets).
 FILTER=${1:-'SymbolConcurrency|Determinism|PlanCache|PlanMany|BudgetGovernance|FaultMatrix|FaultInjection|StressHarness|CircuitBreaker|PlanServer'}
 
 cmake -B "$BUILD_DIR" -S . \

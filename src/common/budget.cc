@@ -87,10 +87,9 @@ bool ResourceGovernor::CheckPoint(const char* site) {
 bool ResourceGovernor::KeepGoing(const char* site) {
   if (exhausted()) return false;
   if (!ConsultFaults(site)) return false;
-  // Intentionally no work-counter check here: hot loops run on pool threads,
-  // and latching on the shared counter mid-flight would make pure-work-budget
-  // outcomes depend on scheduling. The deadline is inherently timing-based,
-  // so checking it here loses nothing.
+  // Intentionally no work-counter check here: a work budget stops only at
+  // checkpoints and node caps (budget.h), never mid-loop. The deadline is
+  // inherently timing-based, so checking it here loses nothing.
   if (limits_.deadline_ms > 0) {
     uint32_t tick =
         deadline_ticks_.fetch_add(1, std::memory_order_relaxed) + 1;

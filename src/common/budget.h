@@ -22,22 +22,17 @@ namespace vbr {
 // cover): exhaustion can hide rewritings but can never certify a wrong one.
 //
 // The governor is installed for the current thread with the RAII
-// GovernorScope; ThreadPool::ParallelFor re-installs the caller's governor
-// inside every pool task, so work already in flight on pool threads observes
-// the same budget without any API plumbing.
+// GovernorScope. One request runs on one thread under one governor.
 //
 // Determinism contract (tests/property/budget_determinism_test.cc): under a
-// pure WORK budget (no deadline), governed results are byte-identical across
-// thread counts and runs. Two rules make that hold:
+// pure WORK budget (no deadline), a governed result is byte-identical on
+// every run. Two rules fix where a work budget stops:
 //
-//  1. Decisions that consult the shared work counter happen only at SERIAL
-//     checkpoints (CheckPoint) — stage boundaries in CoreCover, the
-//     per-candidate costing loop — where the accumulated total is
-//     schedule-independent. Parallel hot loops use KeepGoing(), which never
-//     latches on work.
-//  2. An individual backtracking search is bounded by the deterministic
-//     per-search node cap (search_node_cap), identical for every search
-//     regardless of scheduling.
+//  1. Decisions that consult the work counter happen only at checkpoints
+//     (CheckPoint) — stage boundaries in CoreCover, the per-candidate
+//     costing loop. Hot loops use KeepGoing(), which never latches on work.
+//  2. An individual backtracking search is bounded by the per-search node
+//     cap (search_node_cap).
 //
 // Deadline checks may fire anywhere (KeepGoing included); wall-clock
 // outcomes are explicitly not deterministic.
@@ -107,10 +102,10 @@ class ResourceGovernor {
   // continue.
   bool CheckPoint(const char* site);
 
-  // Cheap cooperative check for hot loops, safe on pool threads: observes
-  // already-latched exhaustion, the deadline (clock reads amortized), and
-  // injected faults — never latches on the work counter (that would make
-  // parallel outcomes schedule-dependent). Returns true to continue.
+  // Cheap cooperative check for hot loops: observes already-latched
+  // exhaustion, the deadline (clock reads amortized), and injected faults —
+  // never latches on the work counter (a work budget stops at checkpoints
+  // and node caps only; see the contract above). Returns true to continue.
   bool KeepGoing(const char* site);
 
   // First-wins exhaustion latch (used by the checks above and by fault

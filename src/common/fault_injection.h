@@ -33,9 +33,9 @@ namespace vbr {
 // Without VBR_FAULT_INJECTION, FaultCheck() is an inline constant and the
 // whole mechanism compiles to nothing at the check sites.
 //
-// Crossing counts are global; multi-threaded runs cross sites in a
-// nondeterministic interleaving, so tests that target "the Nth crossing"
-// should run the governed pipeline with num_threads = 1.
+// Crossing counts are process-wide; concurrent requests cross sites in a
+// nondeterministic interleaving, so a test that targets "the Nth crossing"
+// plans one request at a time.
 
 enum class FaultKind {
   kBudgetExhausted = 0,  // simulate the work budget running out

@@ -11,41 +11,29 @@
 #include <thread>
 #include <vector>
 
-#include "common/budget.h"
-
 namespace vbr {
 
-// A fixed-size thread pool with a blocking ParallelFor, used by the rewrite
-// pipeline to parallelize its embarrassingly-parallel stages (view-tuple
-// generation, tuple-core computation, rewriting verification, top-level
-// set-cover branches).
+// A fixed-size thread pool with a blocking ParallelFor, used by
+// ViewPlanner::PlanMany to plan the members of a batch concurrently. The
+// pool propagates nothing across threads: each member's governor is
+// installed by the planning call the task runs.
 //
 // Design notes:
 //  * No work stealing: one shared atomic index per ParallelFor call hands
-//    out loop indices. The per-task work in the pipeline is large enough
-//    (a homomorphism search or a DFS branch) that contention on one counter
-//    is irrelevant, and the scheme keeps the pool small and auditable.
-//  * Deterministic results are the CALLER's contract: index-to-thread
-//    assignment is nondeterministic, so callers write their output into a
-//    pre-sized slot per index (results[i] from body(i)); every merge then
-//    happens in index order and the outcome is independent of the thread
-//    count and the schedule.
-//  * The calling thread participates, so a pool constructed with
-//    num_threads == 1 spawns no workers and ParallelFor degenerates to a
-//    plain serial loop — bit-for-bit the single-threaded behavior.
-//  * ParallelFor calls from inside a pool task run serially inline rather
-//    than deadlocking; the pipeline never nests parallel stages, but the
-//    guard makes nesting safe.
-//  * The library does not use exceptions (see common/check.h), so task
-//    bodies are assumed not to throw.
+//    out loop indices; a task plans whole requests, so contention on one
+//    counter is irrelevant.
+//  * Deterministic results are the CALLER's contract: callers write their
+//    output into a pre-sized slot per index (results[i] from body(i)), so
+//    the outcome is independent of the schedule.
+//  * The calling thread participates, so a pool of one thread spawns no
+//    workers and ParallelFor is a plain serial loop.
+//  * Task bodies must not call ParallelFor on the same pool, and must not
+//    throw (the library does not use exceptions, see common/check.h).
 class ThreadPool {
  public:
   // Spawns `num_threads - 1` workers (the caller is the remaining thread).
-  // 0 means DefaultThreadCount().
   explicit ThreadPool(size_t num_threads) {
-    const size_t n = num_threads == 0 ? DefaultThreadCount() : num_threads;
-    workers_.reserve(n - 1);
-    for (size_t i = 1; i < n; ++i) {
+    for (size_t i = 1; i < num_threads; ++i) {
       workers_.emplace_back([this] { WorkerLoop(); });
     }
   }
@@ -63,9 +51,6 @@ class ThreadPool {
     for (std::thread& t : workers_) t.join();
   }
 
-  // Total threads that execute tasks (workers plus the calling thread).
-  size_t num_threads() const { return workers_.size() + 1; }
-
   static size_t DefaultThreadCount() {
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<size_t>(hw);
@@ -73,10 +58,10 @@ class ThreadPool {
 
   // Invokes body(i) for every i in [0, n), distributing indices over the
   // pool, and blocks until all invocations completed. Concurrent external
-  // callers are serialized; a call from inside a pool task runs inline.
+  // callers are serialized.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body) {
     if (n == 0) return;
-    if (workers_.empty() || n == 1 || in_pool_task_) {
+    if (workers_.empty() || n == 1) {
       for (size_t i = 0; i < n; ++i) body(i);
       return;
     }
@@ -84,10 +69,6 @@ class ThreadPool {
     auto state = std::make_shared<ForState>();
     state->body = &body;
     state->n = n;
-    // Propagate the caller's resource governor into the pool: workers install
-    // it around the loop body, so budget checks inside tasks already in
-    // flight observe the same budget as the serial pipeline around them.
-    state->governor = ResourceGovernor::Current();
     {
       std::lock_guard<std::mutex> lock(mu_);
       state_ = state;
@@ -112,15 +93,13 @@ class ThreadPool {
   struct ForState {
     const std::function<void(size_t)>* body = nullptr;
     size_t n = 0;
-    ResourceGovernor* governor = nullptr;  // the ParallelFor caller's governor
     std::atomic<size_t> next{0};
     std::mutex mu;
     size_t completed = 0;  // guarded by mu
     std::condition_variable done;
   };
 
-  void RunTasks(ForState& s) {
-    GovernorScope scope(s.governor);
+  static void RunTasks(ForState& s) {
     size_t finished = 0;
     for (size_t i; (i = s.next.fetch_add(1, std::memory_order_relaxed)) < s.n;) {
       (*s.body)(i);
@@ -134,7 +113,6 @@ class ThreadPool {
   }
 
   void WorkerLoop() {
-    in_pool_task_ = true;
     uint64_t seen = 0;
     while (true) {
       std::shared_ptr<ForState> state;
@@ -156,11 +134,7 @@ class ThreadPool {
   std::shared_ptr<ForState> state_;
   uint64_t generation_ = 0;
   bool shutdown_ = false;
-
-  static thread_local bool in_pool_task_;
 };
-
-inline thread_local bool ThreadPool::in_pool_task_ = false;
 
 }  // namespace vbr
 

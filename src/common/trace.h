@@ -25,8 +25,8 @@ namespace vbr {
 //
 // Spans form an explicit tree: a child is opened from its parent span (or
 // from a TraceContext carrying the parent's id across a call boundary), so
-// the hierarchy survives hops between pool threads, where thread-local
-// nesting would not.
+// the hierarchy survives a request's hop from the submitting thread to a
+// worker, where thread-local nesting would not.
 
 // A finished span as delivered to the sink.
 struct TraceEvent {
@@ -45,7 +45,7 @@ struct TraceEvent {
 };
 
 // Receives finished spans. Implementations must tolerate concurrent
-// OnSpanEnd calls: parallel pipeline stages emit from pool threads.
+// OnSpanEnd calls: concurrent requests emit from their worker threads.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;

@@ -25,19 +25,18 @@ inline constexpr Symbol kInvalidSymbol = -1;
 // grows; Symbols are never invalidated.
 //
 // Thread safety: every method may be called concurrently from any number of
-// threads (the parallel rewrite pipeline interns fresh variables from pool
-// workers). The name->id map is sharded under std::shared_mutex, so Intern
+// threads (concurrent requests on service and PlanMany workers intern names
+// and fresh variables). The name->id map is sharded under std::shared_mutex, so Intern
 // of an already-known name takes one shared lock on one shard. Resolving an
 // id back to its string (NameOf) is LOCK-FREE: names live in chunked,
 // append-only storage whose entries never move, published with a
 // release-store of the table size, so any Symbol a thread legitimately holds
 // resolves without synchronization.
 //
-// Determinism: ids reflect global interning order. Single-threaded runs
-// therefore assign exactly the ids the pre-threading implementation did;
-// under concurrency ids depend on the interleaving, which is why the
-// pipeline's determinism contract (see DESIGN.md "Threading model") is
-// stated over query structure, not over fresh-name spellings.
+// Determinism: ids reflect global interning order. Under concurrent
+// requests ids depend on the interleaving, which is why the pipeline's
+// determinism contract (see DESIGN.md "Threading model") is stated over
+// query structure, not over fresh-name spellings.
 class SymbolTable {
  public:
   SymbolTable();

@@ -540,7 +540,6 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
   // M1 needs only the GMRs; M2/M3 search all minimal rewritings. The
   // snapshot's candidate index rides along (same catalog by construction).
   CoreCoverOptions cc = options_.core_cover;
-  if (call.serial) cc.num_threads = 1;
   cc.trace = call.trace;
   if (cc.use_view_index && call.vs.index != nullptr) {
     cc.view_index = call.vs.index.get();
@@ -832,9 +831,9 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
   const std::shared_ptr<const ViewSnapshot> snapshot = CurrentSnapshot();
   const ViewSnapshot& vs = *snapshot;
 
-  // The batch is the unit of parallelism: each query plans single-threaded
-  // while the pool fans out across fingerprint groups.
-  ThreadPool pool(options_.core_cover.num_threads);
+  // The batch is the unit of parallelism: the pool fans out across
+  // fingerprint groups, and each member plans on one thread.
+  ThreadPool pool(ThreadPool::DefaultThreadCount());
 
   std::vector<std::unique_ptr<CanonicalQuery>> canon(queries.size());
   if (options_.enable_cache) {
@@ -869,7 +868,7 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
   pool.ParallelFor(groups.size(), [&](size_t g) {
     for (size_t i : groups[g]) {
       results[i] = *Run({.vs = vs, .query = queries[i], .request = request,
-                         .canonical = canon[i].get(), .serial = true});
+                         .canonical = canon[i].get()});
     }
   });
   return results;
@@ -904,14 +903,24 @@ void ViewPlanner::ReplaceViews(ViewSet views, Database view_instances) {
 }
 
 void ViewPlanner::AddViews(ViewSet added, Database added_instances) {
+  std::unordered_set<Symbol> added_heads;
   for (const View& v : added) {
     VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
+    VBR_CHECK_MSG(added_heads.insert(v.head().predicate()).second,
+                  "AddViews: head predicate repeated within the added views");
   }
   if (added.empty()) return;
   // Serialized with ReplaceViews and other deltas: (fence, publish) pairs
   // must not interleave.
   std::lock_guard<std::mutex> replace_lock(replace_mu_);
   const std::shared_ptr<const ViewSnapshot> cur = CurrentSnapshot();
+  // Expansion resolves a head name to its first definition while
+  // Database::MergeFrom would replace the instance, so a reused name would
+  // serve plans over the wrong relation.
+  for (const View& v : cur->views) {
+    VBR_CHECK_MSG(added_heads.count(v.head().predicate()) == 0,
+                  "AddViews: head predicate already in the catalog");
+  }
   std::vector<ViewSummary> changed;
   changed.reserve(added.size());
   for (const View& v : added) changed.push_back(SummarizeView(v));

@@ -291,12 +291,11 @@ class ViewPlanner {
 
   // Plans a batch: results[i] corresponds to queries[i], each member planned
   // like Plan(queries[i], request) under its own governor. The batch fans
-  // out on a thread pool (core_cover.num_threads workers; each individual
-  // query then plans single-threaded). Queries with identical fingerprints
-  // plan in order on one worker, so only the first runs CoreCover and the
-  // rest are served its cache entry (reported as cache hits). Results are
-  // identical to calling Plan() serially on each query in order, at every
-  // thread count.
+  // out on a thread pool with one thread per hardware thread; each member
+  // plans on one thread. Queries with identical fingerprints plan in order
+  // on one worker, so only the first runs CoreCover and the rest are served
+  // its cache entry (reported as cache hits). Results are identical to
+  // calling Plan() serially on each query in order.
   std::vector<PlanResult> PlanMany(const std::vector<ConjunctiveQuery>& queries,
                                    const PlanRequestOptions& request) const;
 
@@ -317,7 +316,9 @@ class ViewPlanner {
   //
   // AddViews appends `added` to the catalog (their ids continue the
   // current numbering); `added_instances` holds their materialized
-  // relations, merged into the snapshot's instance copy.
+  // relations, merged into the snapshot's instance copy. A view's head
+  // predicate names its relation, so it must be new: AddViews aborts on a
+  // head predicate already in the catalog or repeated within `added`.
   void AddViews(ViewSet added, Database added_instances);
   // RemoveViews drops every view whose HEAD PREDICATE name is listed
   // (with its instance relation) and returns how many views were dropped;
@@ -380,7 +381,6 @@ class ViewPlanner {
     TraceContext trace = {};  // the "plan" span once Run has opened it
     PlanExplanation* explain = nullptr;         // Explain
     const CanonicalQuery* canonical = nullptr;  // PlanMany: computed up front
-    bool serial = false;      // PlanMany: CoreCover runs single-threaded
     bool cache_only = false;  // TryPlanFromCache: a miss plans nothing
   };
   // CostAndPick's winner: its index among the rewritings, whether the

@@ -1,14 +1,12 @@
 #include "rewrite/core_cover.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 
 #include "common/budget.h"
 #include "common/check.h"
 #include "common/metrics.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "cq/containment.h"
 #include "rewrite/rewriting.h"
@@ -59,7 +57,7 @@ void RecordRunMetrics(const CoreCoverResult& result) {
   view_tuples->Add(result.stats.num_view_tuples);
   candidate_views->Add(result.stats.num_candidate_views);
   catalog_views->Add(result.stats.num_views);
-  tuple_cores->Add(result.stats.tuple_core_tasks);
+  tuple_cores->Add(result.stats.num_view_tuples);
   covers->Add(result.rewritings.size());
   const auto to_us = [](double ms) {
     return ms <= 0 ? uint64_t{0} : static_cast<uint64_t>(ms * 1e3);
@@ -78,6 +76,8 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
   VBR_CHECK_MSG(query.IsSafe(), "CoreCover requires a safe query");
   VBR_CHECK_MSG(!query.HasBuiltins(),
                 "CoreCover requires a comparison-free query");
+  VBR_CHECK_MSG(options.max_rewritings >= 1,
+                "CoreCover requires max_rewritings >= 1");
   Timer total_timer;
   CoreCoverResult result;
   result.stats.num_views = views.size();
@@ -87,19 +87,9 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
                         mode == CoverMode::kMinimum ? "minimum" : "minimal");
   run_span.AddAttribute("num_views", static_cast<uint64_t>(views.size()));
 
-  // A num_threads of 1 (or a one-core machine) must reproduce the serial
-  // pipeline bit-for-bit, so no pool is created at all in that case and
-  // every stage takes its plain serial path.
-  const size_t num_threads = options.num_threads == 0
-                                 ? ThreadPool::DefaultThreadCount()
-                                 : options.num_threads;
-  std::unique_ptr<ThreadPool> pool;
-  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
-  result.stats.threads_used = num_threads;
-
   // The run is governed when the caller installed a ResourceGovernor
   // (planner deadlines / budgets, see common/budget.h). Each stage boundary
-  // below is a serial checkpoint; a failed checkpoint finalizes the result
+  // below is a checkpoint; a failed checkpoint finalizes the result
   // with whatever sound partial output earlier stages produced.
   ResourceGovernor* const governor = ResourceGovernor::Current();
   const auto budget_ok = [&](const char* site) {
@@ -148,10 +138,8 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     // A removal probe aborted by its node cap does not latch the governor
     // itself (node-cap aborts are per-search), so an incomplete — possibly
     // non-minimal — core would otherwise sail through with status kOk,
-    // get fingerprinted, and poison the plan cache. Latch here; the flag is
-    // deterministic under a pure work budget (node-cap aborts are
-    // schedule-independent), and the checkpoint below then reports the run
-    // as budget-exhausted.
+    // get fingerprinted, and poison the plan cache. Latch here; the
+    // checkpoint below then reports the run as budget-exhausted.
     if (!minimize_complete && governor != nullptr) {
       governor->NoteExhausted(BudgetKind::kWork, "corecover.minimize");
     }
@@ -247,12 +235,11 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Step 2: view tuples on the canonical database, one task per view.
-  result.stats.view_tuple_tasks = working_views.size();
+  // Step 2: view tuples on the canonical database.
   std::vector<ViewTuple> tuples;
   {
     TraceSpan span(run_span, "view_tuples");
-    tuples = ComputeViewTuples(q, working_views, pool.get());
+    tuples = ComputeViewTuples(q, working_views);
     span.AddAttribute("tuples", static_cast<uint64_t>(tuples.size()));
   }
   result.stats.view_tuple_ms = phase_timer.ElapsedMillis();
@@ -262,19 +249,14 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     return result;
   }
 
-  // Step 3: tuple-cores, one task per tuple, written by tuple index.
+  // Step 3: the tuple-core of each tuple.
   phase_timer.Reset();
-  result.stats.tuple_core_tasks = tuples.size();
-  std::vector<TupleCore> cores(tuples.size());
+  std::vector<TupleCore> cores;
+  cores.reserve(tuples.size());
   {
     TraceSpan span(run_span, "tuple_cores");
-    const auto compute_core = [&](size_t i) {
-      cores[i] = ComputeTupleCore(q, tuples[i], working_views);
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(tuples.size(), compute_core);
-    } else {
-      for (size_t i = 0; i < tuples.size(); ++i) compute_core(i);
+    for (const ViewTuple& tuple : tuples) {
+      cores.push_back(ComputeTupleCore(q, tuple, working_views));
     }
     span.AddAttribute("cores", static_cast<uint64_t>(tuples.size()));
   }
@@ -312,8 +294,7 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     if (!cores[i].empty()) ++result.stats.num_nonempty_cores;
   }
 
-  // Step 4: cover the query subgoals with tuple-cores; the top-level DFS
-  // branches are explored in parallel.
+  // Step 4: cover the query subgoals with tuple-cores.
   phase_timer.Reset();
   const uint64_t universe = (n == 64) ? ~uint64_t{0} : (uint64_t{1} << n) - 1;
   std::vector<uint64_t> sets;
@@ -325,16 +306,14 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
     TraceSpan span(run_span, "set_cover");
     if (mode == CoverMode::kMinimum) {
       MinimumCoversResult min_covers =
-          FindAllMinimumCovers(universe, sets, options.max_rewritings,
-                               pool.get(), &result.stats.cover_branch_tasks);
+          FindAllMinimumCovers(universe, sets, options.max_rewritings);
       result.has_rewriting = min_covers.feasible;
       result.stats.minimum_cover_size = min_covers.min_size;
       result.truncated = min_covers.truncated;
       covers = std::move(min_covers.covers);
       // An incomplete enumeration must never read as a complete one: a
       // branch stopped by its node cap does not latch the governor itself,
-      // so latch here (deterministic under a pure work budget — the aborted
-      // flag is schedule-independent).
+      // so latch here.
       if (min_covers.aborted && governor != nullptr) {
         governor->NoteExhausted(BudgetKind::kWork, "corecover.set_cover");
       }
@@ -342,8 +321,7 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
       bool truncated = false;
       bool aborted = false;
       covers = FindAllMinimalCovers(universe, sets, options.max_rewritings,
-                                    &truncated, pool.get(),
-                                    &result.stats.cover_branch_tasks, &aborted);
+                                    &truncated, &aborted);
       result.has_rewriting = !covers.empty();
       result.truncated = truncated;
       if (aborted && governor != nullptr) {
@@ -368,34 +346,20 @@ CoreCoverResult RunCoreCover(const ConjunctiveQuery& query,
   }
 
   if (options.verify_rewritings) {
-    // One containment check per rewriting; each is an independent
-    // homomorphism search.
+    // One containment check per rewriting.
     TraceSpan span(run_span, "verify");
-    result.stats.verify_tasks = result.rewritings.size();
-    std::vector<char> failed(result.rewritings.size(), 0);
-    const auto verify = [&](size_t i) {
-      if (IsEquivalentRewriting(result.rewritings[i], query, views)) return;
+    std::erase_if(result.rewritings, [&](const ConjunctiveQuery& rewriting) {
+      if (IsEquivalentRewriting(rewriting, query, views)) return false;
       // Under an exhausted budget the equivalence check itself may have been
       // the thing that aborted, so a failure is indistinguishable from an
       // unfinished search: drop the rewriting instead of crashing. With
       // budget to spare, a failure is a genuine algorithmic bug.
       VBR_CHECK_MSG(governor != nullptr && governor->exhausted(),
                     "CoreCover produced a non-equivalent rewriting");
-      failed[i] = 1;
-    };
-    if (pool != nullptr) {
-      pool->ParallelFor(result.rewritings.size(), verify);
-    } else {
-      for (size_t i = 0; i < result.rewritings.size(); ++i) verify(i);
-    }
-    size_t kept = 0;
-    for (size_t i = 0; i < result.rewritings.size(); ++i) {
-      if (failed[i]) continue;
-      if (kept != i) result.rewritings[kept] = std::move(result.rewritings[i]);
-      ++kept;
-    }
-    result.rewritings.resize(kept);
-    span.AddAttribute("verified", static_cast<uint64_t>(kept));
+      return true;
+    });
+    span.AddAttribute("verified",
+                      static_cast<uint64_t>(result.rewritings.size()));
   }
 
   finalize();

@@ -56,7 +56,8 @@ struct CoreCoverOptions {
   // returned rewritings use the class representatives; swap any member of
   // the same class to obtain further rewritings.
   bool group_view_tuples = true;
-  // Cap on the number of rewritings returned.
+  // Cap on the number of rewritings returned; must be at least 1 (a run
+  // with a cap of 0 aborts).
   size_t max_rewritings = 1024;
   // Candidate view selection: restrict the pipeline to views that can
   // possibly contribute a view tuple (kCoverAll summary test) before any
@@ -72,12 +73,6 @@ struct CoreCoverOptions {
   // equivalent to the query (Theorem 4.1 makes this redundant; tests use
   // it).
   bool verify_rewritings = false;
-  // Worker threads for the parallel stages (view-tuple generation,
-  // tuple-core computation, rewriting verification, top-level set-cover
-  // branches). 0 means std::thread::hardware_concurrency(); 1 runs the
-  // pre-threading serial code path bit-for-bit. Results are deterministic
-  // and identical for every value (see DESIGN.md "Threading model").
-  size_t num_threads = 0;
   // When a sink is attached, the run emits a "core_cover" span (a child of
   // trace.parent_id) with one child span per pipeline stage: minimize,
   // group_views, view_tuples, tuple_cores, set_cover, and verify. Inert by
@@ -101,17 +96,6 @@ struct CoreCoverStats {
   double tuple_core_ms = 0;
   double cover_ms = 0;
   double total_ms = 0;
-  // Parallel-stage bookkeeping: how many tasks each stage dispatched. These
-  // are counts of logical work items, deterministic and independent of
-  // num_threads (the M2/M3 optimizers and the determinism suite rely on
-  // that), unlike the wall-clock timings above.
-  size_t view_tuple_tasks = 0;
-  size_t tuple_core_tasks = 0;
-  size_t verify_tasks = 0;
-  size_t cover_branch_tasks = 0;
-  // The resolved thread count the run used (num_threads, with 0 resolved to
-  // the hardware concurrency).
-  size_t threads_used = 1;
   // Governed work units charged to the run's ResourceGovernor (0 when the
   // run was ungoverned). Deterministic under a pure work budget.
   uint64_t work_used = 0;

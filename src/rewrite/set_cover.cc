@@ -6,7 +6,6 @@
 
 #include "common/budget.h"
 #include "common/check.h"
-#include "common/thread_pool.h"
 
 namespace vbr {
 
@@ -15,130 +14,85 @@ namespace {
 // DFS on the lowest uncovered element: every minimal cover contains, for the
 // lowest uncovered element, some set covering it, so branching over those
 // sets reaches every minimal (hence every minimum) cover.
-//
-// The first branching level (the sets containing the lowest element of the
-// whole universe) splits the search into independent subtrees, which is
-// where the parallelism lives: each top-level branch explores its subtree
-// into private state, and the branch outputs are merged in branch order.
-// Because the serial DFS visits branch 0 entirely before branch 1, the
-// merged discovery order equals the serial discovery order, making results
-// (and cap truncation) independent of the thread count.
 class CoverSearch {
  public:
-  CoverSearch(uint64_t universe, const std::vector<uint64_t>& sets,
-              ThreadPool* pool)
-      : universe_(universe), sets_(sets), pool_(pool) {
+  CoverSearch(uint64_t universe, const std::vector<uint64_t>& sets)
+      : universe_(universe), sets_(sets) {
     for (size_t i = 0; i < sets_.size(); ++i) {
       if (sets_[i] != 0) nonempty_.push_back(i);
     }
   }
 
-  // Enumerates covers in serial depth-first discovery order, deduplicated,
-  // capped at `max_out` distinct covers. With `require_exact`, only covers
+  // Enumerates covers in depth-first discovery order, deduplicated, and
+  // stops at `max_out` distinct covers. With `require_exact`, only covers
   // of size exactly `depth_limit` are recorded (with the optimistic bound
   // pruning); otherwise every cover the branching reaches within
   // `depth_limit` picks is recorded and the caller filters for minimality.
   // Sets *truncated iff the distinct count reached the cap.
-  // Sets *aborted when the governor stopped any branch early; found covers
-  // remain genuine (each was verified complete when recorded).
+  // Sets *aborted when the governor stopped any top-level branch early;
+  // found covers remain genuine (each was verified complete when recorded).
   std::vector<std::vector<size_t>> Enumerate(size_t depth_limit,
                                              bool require_exact,
                                              size_t max_out, bool* truncated,
-                                             size_t* branch_tasks,
                                              bool* aborted) {
+    depth_limit_ = depth_limit;
+    require_exact_ = require_exact;
+    max_out_ = max_out;
+    found_.clear();
+    seen_.clear();
+    aborted_ = false;
     *truncated = false;
-    if (universe_ == 0 || depth_limit == 0 || max_out == 0) return {};
+    if (universe_ == 0 || depth_limit == 0) return {};
     const uint64_t lowest = universe_ & (~universe_ + 1);
-    std::vector<size_t> branch_sets;
+    uint64_t total_nodes = 0;
     for (size_t i : nonempty_) {
-      if ((sets_[i] & lowest) != 0) branch_sets.push_back(i);
-    }
-    if (branch_tasks != nullptr) *branch_tasks += branch_sets.size();
-
-    std::vector<Branch> branches(branch_sets.size());
-    const auto run_branch = [&](size_t b) {
-      Branch& branch = branches[b];
-      branch.chosen.push_back(branch_sets[b]);
-      Dfs(&branch, universe_ & ~sets_[branch_sets[b]], depth_limit,
-          require_exact, max_out);
-    };
-    if (pool_ != nullptr && branch_sets.size() > 1) {
-      pool_->ParallelFor(branch_sets.size(), run_branch);
-    } else {
-      for (size_t b = 0; b < branch_sets.size(); ++b) run_branch(b);
-    }
-    if (governor_ != nullptr) {
-      // Per-branch node counts are schedule-independent (each branch runs to
-      // completion or to its deterministic cap), so this total — charged at
-      // the barrier after the parallel stage — is too.
-      uint64_t nodes = 0;
-      for (const Branch& branch : branches) {
-        nodes += branch.nodes;
-        if (branch.aborted) *aborted = true;
-      }
-      if (nodes > 0) governor_->ChargeWork(nodes);
-    }
-
-    // Merge in branch order with global deduplication; stop at the cap
-    // exactly where the serial enumeration would have stopped.
-    std::set<std::vector<size_t>> seen;
-    std::vector<std::vector<size_t>> out;
-    for (const Branch& branch : branches) {
-      for (const std::vector<size_t>& cover : branch.found) {
-        if (seen.insert(cover).second) {
-          out.push_back(cover);
-          if (out.size() >= max_out) {
-            *truncated = true;
-            return out;
-          }
-        }
+      if ((sets_[i] & lowest) == 0) continue;
+      // search_node_cap bounds each top-level branch on its own.
+      nodes_ = 0;
+      chosen_.assign(1, i);
+      Dfs(universe_ & ~sets_[i]);
+      total_nodes += nodes_;
+      if (found_.size() >= max_out_) {
+        *truncated = true;
+        break;
       }
     }
-    return out;
+    if (governor_ != nullptr) governor_->ChargeWork(total_nodes);
+    *aborted = aborted_;
+    return std::move(found_);
   }
 
  private:
-  struct Branch {
-    std::vector<size_t> chosen;
-    // Covers in discovery order, deduplicated within the branch (the merge
-    // deduplicates across branches).
-    std::vector<std::vector<size_t>> found;
-    std::set<std::vector<size_t>> seen;
-    uint64_t nodes = 0;
-    bool aborted = false;
-  };
-
-  // Returns false when the branch hit its cap (no more output wanted).
-  bool Dfs(Branch* branch, uint64_t uncovered, size_t depth_limit,
-           bool require_exact, size_t max_out) const {
+  // Returns false to stop the branch: the output reached its cap, or the
+  // governor stopped it (aborted_).
+  bool Dfs(uint64_t uncovered) {
     if (governor_ != nullptr) {
-      ++branch->nodes;
-      // The cap is per branch and identical for every branch, so where each
-      // branch stops does not depend on the schedule; KeepGoing only
-      // observes the deadline and injected faults.
-      if ((node_cap_ != 0 && branch->nodes > node_cap_) ||
-          (branch->nodes % 64 == 0 &&
+      ++nodes_;
+      // KeepGoing only observes the deadline and injected faults; a work
+      // budget stops the branch through its node cap.
+      if ((node_cap_ != 0 && nodes_ > node_cap_) ||
+          (nodes_ % 64 == 0 &&
            !governor_->KeepGoing("corecover.set_cover"))) {
-        branch->aborted = true;
+        aborted_ = true;
         return false;
       }
     }
     if (uncovered == 0) {
-      if (!require_exact || branch->chosen.size() == depth_limit) {
-        std::vector<size_t> cover = branch->chosen;
+      if (!require_exact_ || chosen_.size() == depth_limit_) {
+        std::vector<size_t> cover = chosen_;
         std::sort(cover.begin(), cover.end());
-        if (branch->seen.insert(cover).second) {
-          branch->found.push_back(std::move(cover));
-          if (branch->found.size() >= max_out) return false;
+        if (seen_.insert(cover).second) {
+          found_.push_back(std::move(cover));
+          if (found_.size() >= max_out_) return false;
         }
       }
       return true;
     }
-    if (branch->chosen.size() >= depth_limit) return true;
-    if (require_exact) {
+    if (chosen_.size() >= depth_limit_) return true;
+    if (require_exact_) {
       // Optimistic bound: each remaining pick covers all remaining elements
       // of some largest set; cheap bound via max popcount.
-      const size_t remaining = depth_limit - branch->chosen.size();
+      const size_t remaining = depth_limit_ - chosen_.size();
       size_t max_cover = 0;
       for (size_t i : nonempty_) {
         max_cover = std::max(
@@ -153,11 +107,9 @@ class CoverSearch {
     const uint64_t lowest = uncovered & (~uncovered + 1);
     for (size_t i : nonempty_) {
       if ((sets_[i] & lowest) == 0) continue;
-      branch->chosen.push_back(i);
-      const bool keep_going =
-          Dfs(branch, uncovered & ~sets_[i], depth_limit, require_exact,
-              max_out);
-      branch->chosen.pop_back();
+      chosen_.push_back(i);
+      const bool keep_going = Dfs(uncovered & ~sets_[i]);
+      chosen_.pop_back();
       if (!keep_going) return false;
     }
     return true;
@@ -165,10 +117,18 @@ class CoverSearch {
 
   const uint64_t universe_;
   const std::vector<uint64_t>& sets_;
-  ThreadPool* const pool_;
   std::vector<size_t> nonempty_;
   ResourceGovernor* const governor_ = ResourceGovernor::Current();
   const uint64_t node_cap_ = governor_ ? governor_->search_node_cap() : 0;
+  // State of the current Enumerate call.
+  size_t depth_limit_ = 0;
+  bool require_exact_ = false;
+  size_t max_out_ = 0;
+  std::vector<size_t> chosen_;
+  std::vector<std::vector<size_t>> found_;
+  std::set<std::vector<size_t>> seen_;
+  uint64_t nodes_ = 0;  // in the current top-level branch
+  bool aborted_ = false;  // some top-level branch was stopped early
 };
 
 bool IsMinimalCover(uint64_t universe, const std::vector<uint64_t>& sets,
@@ -187,8 +147,8 @@ bool IsMinimalCover(uint64_t universe, const std::vector<uint64_t>& sets,
 
 MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
                                          const std::vector<uint64_t>& sets,
-                                         size_t max_covers, ThreadPool* pool,
-                                         size_t* branch_tasks) {
+                                         size_t max_covers) {
+  VBR_CHECK_MSG(max_covers >= 1, "set cover requires max_covers >= 1");
   MinimumCoversResult result;
   if (universe == 0) {
     result.feasible = true;
@@ -201,24 +161,22 @@ MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
   for (uint64_t s : sets) all |= s;
   if ((all & universe) != universe) return result;
 
-  CoverSearch search(universe, sets, pool);
+  CoverSearch search(universe, sets);
   ResourceGovernor* const governor = ResourceGovernor::Current();
   const size_t max_depth =
       std::min<size_t>(sets.size(),
                        static_cast<size_t>(std::popcount(universe)));
   for (size_t k = 1; k <= max_depth; ++k) {
-    // Serial per-cardinality checkpoint: the work total accumulated by
-    // depth k-1 is schedule-independent, so a work budget latches here
-    // deterministically.
+    // Per-cardinality checkpoint: a work budget latches here, on the total
+    // charged through depth k-1.
     if (governor != nullptr && !governor->CheckPoint("corecover.set_cover")) {
       result.aborted = true;
       return result;
     }
     bool truncated = false;
     bool aborted = false;
-    std::vector<std::vector<size_t>> found =
-        search.Enumerate(k, /*require_exact=*/true, max_covers, &truncated,
-                         branch_tasks, &aborted);
+    std::vector<std::vector<size_t>> found = search.Enumerate(
+        k, /*require_exact=*/true, max_covers, &truncated, &aborted);
     if (!found.empty()) {
       result.feasible = true;
       result.min_size = k;
@@ -242,28 +200,27 @@ MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
 
 std::vector<std::vector<size_t>> FindAllMinimalCovers(
     uint64_t universe, const std::vector<uint64_t>& sets, size_t max_covers,
-    bool* truncated, ThreadPool* pool, size_t* branch_tasks, bool* aborted) {
+    bool* truncated, bool* aborted) {
+  VBR_CHECK_MSG(max_covers >= 1, "set cover requires max_covers >= 1");
   if (aborted != nullptr) *aborted = false;
   if (universe == 0) {
     if (truncated != nullptr) *truncated = false;
     return {{}};
   }
-  // Serial pre-search checkpoint, mirroring the per-cardinality one in
-  // FindAllMinimumCovers: the work accumulated by the earlier stages is
-  // schedule-independent, so a work budget latches here deterministically
-  // (the in-search KeepGoing only observes deadlines and injected faults).
+  // Pre-search checkpoint, mirroring the per-cardinality one in
+  // FindAllMinimumCovers: a work budget latches here, on the total charged
+  // by the earlier stages.
   ResourceGovernor* const governor = ResourceGovernor::Current();
   if (governor != nullptr && !governor->CheckPoint("corecover.set_cover")) {
     if (truncated != nullptr) *truncated = false;
     if (aborted != nullptr) *aborted = true;
     return {};
   }
-  CoverSearch search(universe, sets, pool);
+  CoverSearch search(universe, sets);
   bool hit_cap = false;
   bool hit_budget = false;
-  std::vector<std::vector<size_t>> found =
-      search.Enumerate(sets.size(), /*require_exact=*/false, max_covers,
-                       &hit_cap, branch_tasks, &hit_budget);
+  std::vector<std::vector<size_t>> found = search.Enumerate(
+      sets.size(), /*require_exact=*/false, max_covers, &hit_cap, &hit_budget);
   if (truncated != nullptr) *truncated = hit_cap;
   if (aborted != nullptr) *aborted = hit_budget;
   std::sort(found.begin(), found.end());

@@ -8,8 +8,6 @@
 
 namespace vbr {
 
-class ThreadPool;
-
 // Exact set covering over a universe of at most 64 elements, used by
 // CoreCover to cover query subgoals with tuple-cores (Section 4.2) and by
 // CoreCover* to enumerate all minimal covers (Section 5.1). Sets are
@@ -22,14 +20,13 @@ class ThreadPool;
 // queries as CoreCoverStatus::kUnsupportedQueryTooLarge instead of running;
 // direct callers of these functions must enforce the cap themselves.
 //
-// Both enumerations branch, for the lowest uncovered element, over every set
-// containing it. The top-level branches are independent and may be explored
-// in parallel by passing a ThreadPool; results are merged in branch order,
-// which reproduces the serial depth-first discovery order exactly, so the
-// output (including which covers survive a `max_covers` truncation) is
-// byte-identical for every thread count. `branch_tasks`, when non-null, is
-// incremented by the number of top-level branches explored (a deterministic
-// work counter surfaced in CoreCoverStats).
+// CONTRACT — `max_covers >= 1`: both functions abort on a cap of 0, which
+// would return no cover for a coverable universe.
+//
+// Both enumerations are one depth-first search that branches, for the
+// lowest uncovered element, over every set containing it, records each
+// distinct cover in discovery order, and stops as soon as `max_covers`
+// distinct covers are recorded.
 
 struct MinimumCoversResult {
   // True if some cover exists.
@@ -50,19 +47,18 @@ struct MinimumCoversResult {
 // All minimum-cardinality covers of `universe` by `sets`.
 MinimumCoversResult FindAllMinimumCovers(uint64_t universe,
                                          const std::vector<uint64_t>& sets,
-                                         size_t max_covers = 1024,
-                                         ThreadPool* pool = nullptr,
-                                         size_t* branch_tasks = nullptr);
+                                         size_t max_covers = 1024);
 
 // All minimal (irredundant) covers: covers from which no set can be removed.
 // Every minimum cover is minimal; minimal covers of larger cardinality are
-// the extra logical plans CoreCover* passes to the M2 optimizer.
+// the extra logical plans CoreCover* passes to the M2 optimizer. The cap
+// counts every cover the search reaches before the non-minimal ones are
+// dropped, so a truncated result may hold fewer than `max_covers` covers.
 // `aborted`, when non-null, is set iff the thread's ResourceGovernor stopped
 // the enumeration early (returned covers are genuine but possibly not all).
 std::vector<std::vector<size_t>> FindAllMinimalCovers(
     uint64_t universe, const std::vector<uint64_t>& sets,
     size_t max_covers = 4096, bool* truncated = nullptr,
-    ThreadPool* pool = nullptr, size_t* branch_tasks = nullptr,
     bool* aborted = nullptr);
 
 }  // namespace vbr

@@ -49,6 +49,11 @@ bool DecodeCertificate(vbin::Reader* reader, const vbin::FileView& file,
          DecodeSubstitution(reader, file, &out->expansion_to_query);
 }
 
+// Retired varint slots after total_ms (docs/FORMAT.md, kCacheSnapshot):
+// written as 0 and skipped on read, so older snapshots, which hold nonzero
+// values there, still load.
+constexpr int kRetiredStatsSlots = 5;
+
 void EncodeCoreCoverStats(const CoreCoverStats& stats,
                           vbin::FileWriter* writer) {
   writer->AppendVarint(stats.num_views);
@@ -62,11 +67,7 @@ void EncodeCoreCoverStats(const CoreCoverStats& stats,
   writer->AppendF64(stats.tuple_core_ms);
   writer->AppendF64(stats.cover_ms);
   writer->AppendF64(stats.total_ms);
-  writer->AppendVarint(stats.view_tuple_tasks);
-  writer->AppendVarint(stats.tuple_core_tasks);
-  writer->AppendVarint(stats.verify_tasks);
-  writer->AppendVarint(stats.cover_branch_tasks);
-  writer->AppendVarint(stats.threads_used);
+  for (int i = 0; i < kRetiredStatsSlots; ++i) writer->AppendVarint(0);
   writer->AppendVarint(stats.work_used);
   writer->AppendBool(stats.hit_rewriting_cap);
 }
@@ -78,6 +79,13 @@ bool DecodeCoreCoverStats(vbin::Reader* reader, CoreCoverStats* out) {
     *field = static_cast<size_t>(value);
     return true;
   };
+  auto skip_retired = [reader] {
+    uint64_t unused = 0;
+    for (int i = 0; i < kRetiredStatsSlots; ++i) {
+      if (!reader->ReadVarint(&unused)) return false;
+    }
+    return true;
+  };
   return size_field(&out->num_views) && size_field(&out->num_view_classes) &&
          size_field(&out->num_view_tuples) &&
          size_field(&out->num_tuple_classes) &&
@@ -87,10 +95,7 @@ bool DecodeCoreCoverStats(vbin::Reader* reader, CoreCoverStats* out) {
          reader->ReadF64(&out->view_tuple_ms) &&
          reader->ReadF64(&out->tuple_core_ms) &&
          reader->ReadF64(&out->cover_ms) && reader->ReadF64(&out->total_ms) &&
-         size_field(&out->view_tuple_tasks) &&
-         size_field(&out->tuple_core_tasks) && size_field(&out->verify_tasks) &&
-         size_field(&out->cover_branch_tasks) &&
-         size_field(&out->threads_used) && reader->ReadVarint(&out->work_used) &&
+         skip_retired() && reader->ReadVarint(&out->work_used) &&
          reader->ReadBool(&out->hit_rewriting_cap);
 }
 

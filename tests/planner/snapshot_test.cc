@@ -191,6 +191,48 @@ TEST(SnapshotTest, OlderBodyVersionLoadsWithoutCertificates) {
   std::remove(path.c_str());
 }
 
+// testdata/retired_stats_slots.vbin was saved by the planner before
+// intra-query parallelism was removed, after a cold and a hit run of each
+// SnapshotCases() entry: its five retired CoreCoverStats slots hold that
+// run's per-stage task counts and threads_used = 4. It must still load,
+// and its first hits must be the plans a current planner serves on its
+// own hit path.
+TEST(SnapshotTest, RetiredStatsSlotsStillWarmStart) {
+  const std::string path =
+      std::string(VBR_TESTDATA_DIR) + "/retired_stats_slots.vbin";
+  const ViewSet views = CarLocPartViews();
+  const Database instances = MaterializeViews(views, CarLocPartBase());
+  const std::vector<SnapshotCase> cases = SnapshotCases();
+
+  ViewPlanner fresh(views, instances);
+  std::vector<PlanIdentity> hit_identities;
+  for (const SnapshotCase& c : cases) {
+    ASSERT_TRUE(fresh.Plan(c.query, c.model).ok());
+    hit_identities.push_back(IdentityOf(fresh.Plan(c.query, c.model)));
+  }
+
+  ViewPlanner after(views, instances);
+  const SnapshotLoadResult load = after.LoadSnapshot(path);
+  ASSERT_TRUE(load.ok()) << load.status.error;
+  EXPECT_TRUE(load.compatible);
+  EXPECT_EQ(load.entries_loaded, cases.size());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    const auto warm = after.Plan(cases[i].query, cases[i].model);
+    EXPECT_TRUE(warm.cache_hit) << "case " << i;
+    EXPECT_TRUE(IdentityOf(warm) == hit_identities[i]) << "case " << i;
+  }
+
+  // The slots really are nonzero: re-encoding the decoded file writes them
+  // as 0 and so changes its bytes, not its size.
+  std::string bytes;
+  ASSERT_TRUE(vbin::ReadWholeFile(path, &bytes).ok());
+  PlanCacheSnapshot snap;
+  ASSERT_TRUE(DecodeSnapshotBytes(bytes, &snap).ok());
+  const std::string reencoded = EncodeSnapshotBytes(snap);
+  EXPECT_EQ(reencoded.size(), bytes.size());
+  EXPECT_NE(reencoded, bytes);
+}
+
 TEST(SnapshotTest, NewerBodyVersionIsRejectedCleanly) {
   PlanCacheSnapshot snap;  // content irrelevant: version gates first
   const std::string bytes =

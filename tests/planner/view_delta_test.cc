@@ -14,7 +14,10 @@
 //     internally consistent, never torn across catalogs);
 //   - the delta epoch round-trips through SaveSnapshot/LoadSnapshot, and
 //     a delta-built catalog fingerprints identically to the same set
-//     handed wholesale to a fresh planner, in any order.
+//     handed wholesale to a fresh planner, in any order;
+//   - an added view may not reuse a head name: expansion would keep the
+//     old definition while the instance is replaced, so plans would read
+//     the wrong relation. AddViews aborts instead.
 
 #include <atomic>
 #include <string>
@@ -54,6 +57,21 @@ View IrrelevantView(const std::string& name) {
 
 std::string LogicalBytes(const ViewPlanner::PlanResult& r) {
   return r.choice.has_value() ? EncodeQueryFile(r.choice->logical) : "";
+}
+
+TEST(ViewDeltaDeathTest, AddViewsRejectsAHeadAlreadyInTheCatalog) {
+  ViewPlanner planner({MustParseQuery("v0(A) :- e(A,B)")}, Database{});
+  EXPECT_DEATH(
+      planner.AddViews({MustParseQuery("v0(A) :- f(A,B)")}, Database{}),
+      "already in the catalog");
+}
+
+TEST(ViewDeltaDeathTest, AddViewsRejectsAHeadRepeatedWithinTheBatch) {
+  ViewPlanner planner(BaseViews(), Database{});
+  EXPECT_DEATH(planner.AddViews({MustParseQuery("v1(A) :- f(A,B)"),
+                                 MustParseQuery("v1(A) :- e(A,B)")},
+                                Database{}),
+               "repeated within the added views");
 }
 
 TEST(ViewDeltaTest, AddedViewImprovesTheCachedPlan) {

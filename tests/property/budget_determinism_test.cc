@@ -1,12 +1,11 @@
 // The work-budget determinism contract (DESIGN.md "Resource governance"):
 // under a PURE work budget — no deadline, no memory limit — a governed
 // CoreCover run is a deterministic function of (query, views, options,
-// work_limit). Abort decisions latch only at serial checkpoints or via
-// per-branch node caps that are identical for every branch, so the full
-// result — status, exhaustion site, rewritings, stats counters, and even
-// work_used itself — must be byte-identical across thread counts and
-// repeated runs. Deadline and memory budgets are explicitly outside this
-// contract (they depend on the clock and the allocator).
+// work_limit). Abort decisions latch only at checkpoints or via per-search
+// node caps, so the full result — status, exhaustion site, rewritings,
+// stats counters, and even work_used itself — must be byte-identical
+// across repeated runs. Deadline and memory budgets are explicitly outside
+// this contract (they depend on the clock and the allocator).
 
 #include <gtest/gtest.h>
 
@@ -57,22 +56,17 @@ std::string Fingerprint(const CoreCoverResult& r) {
   s += "num_tuple_classes=" + std::to_string(r.stats.num_tuple_classes) + "\n";
   s += "nonempty_cores=" + std::to_string(r.stats.num_nonempty_cores) + "\n";
   s += "min_cover=" + std::to_string(r.stats.minimum_cover_size) + "\n";
-  s += "view_tuple_tasks=" + std::to_string(r.stats.view_tuple_tasks) + "\n";
-  s += "tuple_core_tasks=" + std::to_string(r.stats.tuple_core_tasks) + "\n";
   s += "work_used=" + std::to_string(r.stats.work_used) + "\n";
   s += "hit_cap=" + std::to_string(r.stats.hit_rewriting_cap) + "\n";
   return s;
 }
 
-std::string GovernedRun(const Workload& w, uint64_t work_limit,
-                        size_t num_threads) {
+std::string GovernedRun(const Workload& w, uint64_t work_limit) {
   ResourceLimits limits;
   limits.work_limit = work_limit;
   ResourceGovernor governor(limits);
   GovernorScope scope(&governor);
-  CoreCoverOptions options;
-  options.num_threads = num_threads;
-  return Fingerprint(CoreCoverStar(w.query, w.views, options));
+  return Fingerprint(CoreCoverStar(w.query, w.views));
 }
 
 TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
@@ -86,9 +80,7 @@ TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
   {
     ResourceGovernor governor(unlimited_work);
     GovernorScope scope(&governor);
-    CoreCoverOptions options;
-    options.num_threads = 1;
-    const auto full = CoreCoverStar(w.query, w.views, options);
+    const auto full = CoreCoverStar(w.query, w.views);
     ASSERT_EQ(full.status, CoreCoverStatus::kOk);
     total_work = full.stats.work_used;
   }
@@ -97,14 +89,10 @@ TEST(BudgetDeterminismTest, WorkBudgetOutcomeIsByteIdentical) {
   const uint64_t budgets[] = {total_work / 10, total_work / 3,
                               total_work / 2, total_work, total_work * 2};
   for (const uint64_t budget : budgets) {
-    const std::string reference = GovernedRun(w, budget, 1);
-    for (const size_t threads : {size_t{1}, size_t{2}, size_t{8}}) {
-      for (int repeat = 0; repeat < 3; ++repeat) {
-        const std::string got = GovernedRun(w, budget, threads);
-        EXPECT_EQ(got, reference)
-            << "budget=" << budget << " threads=" << threads
-            << " repeat=" << repeat;
-      }
+    const std::string reference = GovernedRun(w, budget);
+    for (int repeat = 0; repeat < 3; ++repeat) {
+      EXPECT_EQ(GovernedRun(w, budget), reference)
+          << "budget=" << budget << " repeat=" << repeat;
     }
   }
 }
@@ -117,7 +105,6 @@ TEST(BudgetDeterminismTest, GovernedPlannerIsDeterministic) {
 
   auto run = [&](uint64_t work_limit) {
     ViewPlanner::Options options;
-    options.core_cover.num_threads = 1;
     options.fallback_work_budget = 10'000;
     ViewPlanner planner(w.views, instances, options);
     const auto r = planner.Plan(

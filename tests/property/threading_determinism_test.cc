@@ -1,14 +1,17 @@
-// The threading determinism contract (DESIGN.md "Threading model"):
-// CoreCover and CoreCoverStar return identical rewritings, filter
-// candidates, view-tuple annotations, and stats COUNTERS (not timings) for
-// every num_threads value. num_threads == 1 runs the pre-threading serial
-// code path, so equality against it pins the parallel stages to the serial
-// semantics across the star/chain workload generators.
+// Determinism under concurrent requests (DESIGN.md "Threading model"): one
+// CoreCover run executes on one thread, but service workers run many at
+// once over the shared SymbolTable, ContainmentMemo and metrics registry.
+// Every caller among 1, 2 or 8 concurrent ones must get exactly the
+// rewritings, filter candidates, view-tuple annotations and stats counters
+// (not timings) that a lone caller gets, across the star/chain workload
+// generators.
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "rewrite/core_cover.h"
@@ -38,85 +41,73 @@ Workload MakeWorkload(const Config& config) {
   return GenerateWorkload(wc);
 }
 
-// Everything that must not depend on the thread count. Wall-clock timings
-// and threads_used are intentionally excluded.
-void ExpectSameResult(const CoreCoverResult& base,
-                      const CoreCoverResult& other, size_t threads) {
-  SCOPED_TRACE("num_threads=" + std::to_string(threads));
-  EXPECT_EQ(base.status, other.status);
-  EXPECT_EQ(base.has_rewriting, other.has_rewriting);
-  EXPECT_EQ(base.truncated, other.truncated);
-  EXPECT_EQ(base.minimized_query, other.minimized_query);
-  ASSERT_EQ(base.rewritings.size(), other.rewritings.size());
-  for (size_t i = 0; i < base.rewritings.size(); ++i) {
-    EXPECT_EQ(base.rewritings[i], other.rewritings[i]);
+// Everything that must not depend on concurrent callers; wall-clock
+// timings are excluded.
+std::string Fingerprint(const CoreCoverResult& r) {
+  std::string s = std::to_string(static_cast<int>(r.status)) + "|" +
+                  std::to_string(r.has_rewriting) +
+                  std::to_string(r.truncated) + "|" +
+                  r.minimized_query.ToString() + "\n";
+  for (const ConjunctiveQuery& rw : r.rewritings) s += rw.ToString() + "\n";
+  for (size_t i : r.filter_candidates) s += std::to_string(i) + ",";
+  for (const AnnotatedViewTuple& vt : r.view_tuples) {
+    s += "\n" + vt.tuple.atom.ToString() + " view=" +
+         std::to_string(vt.tuple.view_index) + " mask=" +
+         std::to_string(vt.core.covered_mask) + " class=" +
+         std::to_string(vt.class_id) +
+         (vt.is_class_representative ? " rep" : "");
   }
-  EXPECT_EQ(base.filter_candidates, other.filter_candidates);
-  ASSERT_EQ(base.view_tuples.size(), other.view_tuples.size());
-  for (size_t i = 0; i < base.view_tuples.size(); ++i) {
-    EXPECT_EQ(base.view_tuples[i].tuple.atom, other.view_tuples[i].tuple.atom);
-    EXPECT_EQ(base.view_tuples[i].tuple.view_index,
-              other.view_tuples[i].tuple.view_index);
-    EXPECT_EQ(base.view_tuples[i].core.covered_mask,
-              other.view_tuples[i].core.covered_mask);
-    EXPECT_EQ(base.view_tuples[i].core.covered, other.view_tuples[i].core.covered);
-    EXPECT_EQ(base.view_tuples[i].class_id, other.view_tuples[i].class_id);
-    EXPECT_EQ(base.view_tuples[i].is_class_representative,
-              other.view_tuples[i].is_class_representative);
+  const CoreCoverStats& st = r.stats;
+  for (size_t counter :
+       {st.num_views, st.num_view_classes, st.num_view_tuples,
+        st.num_tuple_classes, st.num_nonempty_cores, st.minimum_cover_size}) {
+    s += "|" + std::to_string(counter);
   }
-  EXPECT_EQ(base.stats.num_views, other.stats.num_views);
-  EXPECT_EQ(base.stats.num_view_classes, other.stats.num_view_classes);
-  EXPECT_EQ(base.stats.num_view_tuples, other.stats.num_view_tuples);
-  EXPECT_EQ(base.stats.num_tuple_classes, other.stats.num_tuple_classes);
-  EXPECT_EQ(base.stats.num_nonempty_cores, other.stats.num_nonempty_cores);
-  EXPECT_EQ(base.stats.minimum_cover_size, other.stats.minimum_cover_size);
-  EXPECT_EQ(base.stats.view_tuple_tasks, other.stats.view_tuple_tasks);
-  EXPECT_EQ(base.stats.tuple_core_tasks, other.stats.tuple_core_tasks);
-  EXPECT_EQ(base.stats.verify_tasks, other.stats.verify_tasks);
-  EXPECT_EQ(base.stats.cover_branch_tasks, other.stats.cover_branch_tasks);
+  return s;
+}
+
+// Runs `run` from 1, 2 and 8 concurrent callers; each caller must get the
+// lone caller's result.
+void ExpectConcurrentCallersAgree(const std::function<CoreCoverResult()>& run) {
+  const std::string lone = Fingerprint(run());
+  for (size_t threads : kThreadCounts) {
+    std::vector<std::string> got(threads);
+    std::vector<std::thread> callers;
+    for (size_t t = 0; t < threads; ++t) {
+      callers.emplace_back([&, t] { got[t] = Fingerprint(run()); });
+    }
+    for (std::thread& caller : callers) caller.join();
+    for (size_t t = 0; t < threads; ++t) {
+      EXPECT_EQ(got[t], lone) << "callers=" << threads << " caller " << t;
+    }
+  }
 }
 
 TEST_P(ThreadingDeterminismTest, CoreCoverMatchesSerialAtEveryThreadCount) {
   const Workload w = MakeWorkload(GetParam());
   CoreCoverOptions options;
-  options.verify_rewritings = true;  // Exercise the parallel verify stage.
-  options.num_threads = 1;
-  const auto base = CoreCover(w.query, w.views, options);
-  EXPECT_EQ(base.stats.threads_used, 1u);
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    const auto result = CoreCover(w.query, w.views, options);
-    EXPECT_EQ(result.stats.threads_used, threads);
-    ExpectSameResult(base, result, threads);
-  }
+  options.verify_rewritings = true;  // Exercise the verify stage too.
+  ExpectConcurrentCallersAgree(
+      [&] { return CoreCover(w.query, w.views, options); });
 }
 
 TEST_P(ThreadingDeterminismTest, CoreCoverStarMatchesSerialAtEveryThreadCount) {
   const Workload w = MakeWorkload(GetParam());
   CoreCoverOptions options;
   options.max_rewritings = 64;  // Small cap: truncation must also agree.
-  options.num_threads = 1;
-  const auto base = CoreCoverStar(w.query, w.views, options);
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    ExpectSameResult(base, CoreCoverStar(w.query, w.views, options), threads);
-  }
+  ExpectConcurrentCallersAgree(
+      [&] { return CoreCoverStar(w.query, w.views, options); });
 }
 
 TEST_P(ThreadingDeterminismTest, UngroupedPipelineAlsoDeterministic) {
-  // Grouping off maximizes the number of parallel tuple-core tasks and
-  // cover candidates.
+  // Grouping off maximizes the number of tuple-cores and cover candidates.
   const Workload w = MakeWorkload(GetParam());
   CoreCoverOptions options;
   options.group_views = false;
   options.group_view_tuples = false;
   options.max_rewritings = 32;
-  options.num_threads = 1;
-  const auto base = CoreCover(w.query, w.views, options);
-  for (size_t threads : kThreadCounts) {
-    options.num_threads = threads;
-    ExpectSameResult(base, CoreCover(w.query, w.views, options), threads);
-  }
+  ExpectConcurrentCallersAgree(
+      [&] { return CoreCover(w.query, w.views, options); });
 }
 
 std::vector<Config> AllConfigs() {

@@ -180,5 +180,17 @@ TEST(CoreCoverDeathTest, UnsafeQueryAborts) {
   EXPECT_DEATH(CoreCover(q, {}), "safe");
 }
 
+// A cap of 0 is a broken precondition, not a search that found nothing: it
+// must not abort deep in the set cover (CoreCover) or report a rewritable
+// query as having no rewriting (CoreCoverStar).
+TEST(CoreCoverDeathTest, ZeroRewritingCapAborts) {
+  CoreCoverOptions options;
+  options.max_rewritings = 0;
+  EXPECT_DEATH(CoreCover(CarLocPartQuery(), CarLocPartViews(), options),
+               "max_rewritings >= 1");
+  EXPECT_DEATH(CoreCoverStar(CarLocPartQuery(), CarLocPartViews(), options),
+               "max_rewritings >= 1");
+}
+
 }  // namespace
 }  // namespace vbr
