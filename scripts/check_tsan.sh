@@ -16,10 +16,12 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 # budget determinism), the sharded plan cache / batched planning suites,
 # the resource-governance fault-injection suites, the containment-memo
 # determinism suite, the PlanningService stress harness (worker pool,
-# breaker ladder, concurrent ReplaceViews), and the PlanServer integration
+# breaker ladder, concurrent ReplaceViews), the PlanServer integration
 # suite (IO thread vs worker completions vs client threads over real
-# sockets).
-FILTER=${1:-'SymbolConcurrency|Determinism|PlanCache|PlanMany|BudgetGovernance|FaultMatrix|FaultInjection|StressHarness|CircuitBreaker|PlanServer'}
+# sockets), and the view-delta suite (AddViews/RemoveViews racing PlanMany).
+# The plan-cache suites include concurrent first hits racing to store one
+# entry's costed choice.
+FILTER=${1:-'SymbolConcurrency|Determinism|PlanCache|PlanMany|BudgetGovernance|FaultMatrix|FaultInjection|StressHarness|CircuitBreaker|PlanServer|ViewDelta'}
 
 cmake -B "$BUILD_DIR" -S . \
   -DVBR_SANITIZE=thread \
@@ -27,7 +29,8 @@ cmake -B "$BUILD_DIR" -S . \
   -DVBR_BUILD_EXAMPLES=OFF
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
   --target symbol_concurrency_test threading_determinism_test \
-  determinism_test plan_cache_test plan_many_test \
+  determinism_test plan_cache_test plan_cache_metamorphic_test \
+  plan_many_test view_delta_test \
   budget_determinism_test budget_governance_test fault_matrix_test \
   fault_injection_test stress_harness_test circuit_breaker_test \
   signature_prefilter_test server_integration_test

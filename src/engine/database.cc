@@ -1,6 +1,7 @@
 #include "engine/database.h"
 
 #include <algorithm>
+#include <atomic>
 
 #include "common/check.h"
 #include "engine/value.h"
@@ -8,23 +9,26 @@
 namespace vbr {
 
 Relation& Database::GetOrCreate(Symbol predicate, size_t arity) {
-  auto it = relations_.find(predicate);
-  if (it == relations_.end()) {
-    it = relations_.emplace(predicate, Relation(arity)).first;
+  std::shared_ptr<Relation>& rel = relations_[predicate];
+  if (rel == nullptr) {
+    rel = std::make_shared<Relation>(arity);
+  } else if (rel.use_count() != 1) {
+    // Another database shares it: copy before the caller writes.
+    rel = std::make_shared<Relation>(*rel);
+  } else {
+    // Sole owner. The acquire fence orders the last reads of any database
+    // that shared the relation (released by dropping its reference) before
+    // this caller's writes.
+    std::atomic_thread_fence(std::memory_order_acquire);
   }
-  VBR_CHECK_MSG(it->second.arity() == arity,
+  VBR_CHECK_MSG(rel->arity() == arity,
                 "predicate re-declared with different arity");
-  return it->second;
+  return *rel;
 }
 
 const Relation* Database::Find(Symbol predicate) const {
   auto it = relations_.find(predicate);
-  return it == relations_.end() ? nullptr : &it->second;
-}
-
-Relation* Database::FindMutable(Symbol predicate) {
-  auto it = relations_.find(predicate);
-  return it == relations_.end() ? nullptr : &it->second;
+  return it == relations_.end() ? nullptr : it->second.get();
 }
 
 void Database::AddFact(const Atom& fact) {
@@ -60,7 +64,7 @@ bool Database::Remove(Symbol predicate) {
 
 size_t Database::TotalRows() const {
   size_t total = 0;
-  for (const auto& [sym, rel] : relations_) total += rel.size();
+  for (const auto& [sym, rel] : relations_) total += rel->size();
   return total;
 }
 

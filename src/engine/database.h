@@ -1,6 +1,7 @@
 #ifndef VBR_ENGINE_DATABASE_H_
 #define VBR_ENGINE_DATABASE_H_
 
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -11,18 +12,23 @@
 
 namespace vbr {
 
-// A database instance: a relation per predicate symbol.
+// A database instance: a relation per predicate symbol. Copies share their
+// relations until one of them writes to a relation, which then copies just
+// that relation, so a copy of a large catalog costs one pointer per
+// relation (the planner copies its instances into every catalog snapshot).
 class Database {
  public:
   Database() = default;
 
   // The relation for `predicate`, creating an empty one with `arity` if
-  // absent. CHECK-fails if it exists with a different arity.
+  // absent, for writing: a relation shared with a copy is copied first.
+  // Writes through the reference after this database is copied reach the
+  // copy too, so finish them first. CHECK-fails if the relation exists
+  // with a different arity.
   Relation& GetOrCreate(Symbol predicate, size_t arity);
 
   // The relation for `predicate`, or nullptr if absent.
   const Relation* Find(Symbol predicate) const;
-  Relation* FindMutable(Symbol predicate);
 
   // Inserts a ground fact. All arguments of `fact` must be constants; they
   // are encoded with EncodeConstant.
@@ -34,7 +40,7 @@ class Database {
 
   size_t NumRelations() const { return relations_.size(); }
 
-  // Copies every relation of `other` into this database, overwriting any
+  // Shares every relation of `other` into this database, overwriting any
   // relation stored under the same predicate (AddViews: the added views'
   // instances join the snapshot's copy of the existing ones).
   void MergeFrom(const Database& other);
@@ -52,7 +58,7 @@ class Database {
   std::string ToString() const;
 
  private:
-  std::unordered_map<Symbol, Relation> relations_;
+  std::unordered_map<Symbol, std::shared_ptr<Relation>> relations_;
 };
 
 }  // namespace vbr

@@ -26,6 +26,17 @@ void CachedPlan::StoreCertificate(size_t index,
   }
 }
 
+std::shared_ptr<const CostedChoice> CachedPlan::costed_choice() const {
+  std::lock_guard<std::mutex> lock(cert_mu_);
+  return costed_choice_;
+}
+
+void CachedPlan::StoreCostedChoice(CostedChoice choice) const {
+  auto stored = std::make_shared<const CostedChoice>(std::move(choice));
+  std::lock_guard<std::mutex> lock(cert_mu_);
+  if (costed_choice_ == nullptr) costed_choice_ = std::move(stored);
+}
+
 PlanCache::PlanCache(size_t capacity, size_t num_shards)
     : capacity_(std::max<size_t>(capacity, 1)),
       shard_capacity_(std::max<size_t>(

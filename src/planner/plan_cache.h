@@ -14,6 +14,7 @@
 
 #include "common/metrics.h"
 #include "cost/cost_model.h"
+#include "cost/physical_plan.h"
 #include "cq/fingerprint.h"
 #include "cq/query.h"
 #include "rewrite/certificate.h"
@@ -22,12 +23,30 @@
 
 namespace vbr {
 
-// The cached logical outcome of one CoreCover / CoreCoverStar run, stored in
+// The winning pick of an entry's first complete costing, in the entry's
+// canonical variable space. The M2/M3 choice depends only on the cached
+// rewritings and the instances of the views they (and the filter atoms)
+// name; every such view is a kCoverAll candidate of the entry's minimized
+// query, so no delta that could change one of those instances lets the
+// entry be served (PlanCache "Delta epoch"), and ReplaceViews bumps the
+// epoch. The pick therefore stays the pick for as long as the entry serves.
+struct CostedChoice {
+  // The logical plan (filters included) and its certificate, stated over
+  // CachedPlan::minimized.
+  ConjunctiveQuery logical;
+  EquivalenceCertificate certificate;
+  PhysicalPlan physical;
+  size_t cost = 0;
+  // The winner was too wide for the exact M2 order search.
+  bool greedy = false;
+};
+
+// The cached outcome of one CoreCover / CoreCoverStar run, stored in
 // CANONICAL variable space (every variable renamed by the inserting query's
 // canonical labeling, see cq/fingerprint.h). CoreCover's logical output
-// depends only on the query and the view DEFINITIONS — never on the view
-// instances — so entries stay valid while the view set is unchanged and are
-// re-costed against current instance sizes on every hit.
+// depends only on the query and the view DEFINITIONS, so entries stay valid
+// while the view set is unchanged. The costed choice is added once, by the
+// first complete costing, and served to every later hit.
 struct CachedPlan {
   // Fingerprint of the inserting query; `canonical` names the variable
   // space the fields below live in.
@@ -42,7 +61,7 @@ struct CachedPlan {
   // All rewritings CoreCover emitted, in emission order.
   std::vector<ConjunctiveQuery> rewritings;
   // Empty-core view-tuple atoms: the filter candidates the M2/M3 costing
-  // loop may append (instance-dependent, so the CHOICE is not cached).
+  // loop may append.
   std::vector<Atom> filter_atoms;
   // Stats of the original planning run (timings describe that run).
   CoreCoverStats stats;
@@ -54,9 +73,18 @@ struct CachedPlan {
   std::optional<EquivalenceCertificate> certificate(size_t index) const;
   void StoreCertificate(size_t index, EquivalenceCertificate certificate) const;
 
+  // The stored costed choice, or null before the first complete costing.
+  // Write-once under the same mutex: the first writer wins, and a later
+  // store is dropped (concurrent first hits cost the same pick). It lives
+  // in memory only: snapshots do not carry it, because a restarted planner
+  // may hold other instances under the same view definitions.
+  std::shared_ptr<const CostedChoice> costed_choice() const;
+  void StoreCostedChoice(CostedChoice choice) const;
+
  private:
   mutable std::mutex cert_mu_;
   mutable std::vector<std::optional<EquivalenceCertificate>> certificates_;
+  mutable std::shared_ptr<const CostedChoice> costed_choice_;
 };
 
 // Snapshot of one cache's counters. The live counters are metrics::Counter

@@ -70,6 +70,54 @@ EquivalenceCertificate TransportCertificate(const EquivalenceCertificate& cert,
   return out;
 }
 
+// Renames a physical plan's rewriting and drop lists (variables outside the
+// renaming, such as the M3 optimizer's fresh ones, keep their names).
+PhysicalPlan TransportPhysical(const PhysicalPlan& plan,
+                               const Substitution& renaming) {
+  PhysicalPlan out;
+  out.rewriting = renaming.Apply(plan.rewriting);
+  out.order = plan.order;
+  out.drop_after.reserve(plan.drop_after.size());
+  for (const std::vector<Term>& drops : plan.drop_after) {
+    std::vector<Term>& renamed = out.drop_after.emplace_back();
+    renamed.reserve(drops.size());
+    for (Term t : drops) renamed.push_back(renaming.Apply(t));
+  }
+  return out;
+}
+
+// Aborts unless every view of `added` is safe and its head predicate names
+// no other view of `added` or `catalog`. A head name must denote one view
+// and one instance: expansion resolves a name to its first definition,
+// while the instance database keys relations by name, so a reused name
+// would serve plans over the wrong relation (and a stored costed choice
+// would outlive the instance it was costed on).
+void ValidateViews(const ViewSet& added, const ViewSet& catalog = {}) {
+  std::unordered_set<Symbol> heads;
+  for (const View& v : added) {
+    VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
+    VBR_CHECK_MSG(heads.insert(v.head().predicate()).second,
+                  "head predicate repeated within the added views");
+  }
+  for (const View& v : catalog) {
+    VBR_CHECK_MSG(heads.count(v.head().predicate()) == 0,
+                  "head predicate already in the catalog");
+  }
+}
+
+// Why `query` is outside the planner's fragment, or "" when it is inside.
+// CoreCover minimizes the query, which needs every head variable bound by
+// a body subgoal, and handles comparison-free conjunctive queries only.
+std::string InvalidQueryReason(const ConjunctiveQuery& query) {
+  if (!query.IsSafe()) {
+    return "unsafe query: a head variable does not occur in the body";
+  }
+  if (query.HasBuiltins()) {
+    return "comparison subgoals are not supported";
+  }
+  return "";
+}
+
 // Records the budget outcome of one planning request into the global
 // metrics registry (no-op when no budget died).
 void RecordBudgetMetrics(const BudgetExhaustion& exhaustion) {
@@ -119,6 +167,8 @@ const char* PlanStatusName(PlanStatus status) {
       return "unsupported query (too large)";
     case PlanStatus::kBudgetExhausted:
       return "budget exhausted";
+    case PlanStatus::kInvalidQuery:
+      return "invalid query";
   }
   return "?";
 }
@@ -315,9 +365,7 @@ ViewPlanner::ViewPlanner(ViewSet views, Database view_instances,
                          Options options)
     : options_(options),
       cache_(std::make_unique<PlanCache>(options.cache_capacity)) {
-  for (const View& v : views) {
-    VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
-  }
+  ValidateViews(views);
   auto snapshot = std::make_shared<ViewSnapshot>();
   snapshot->views = std::move(views);
   snapshot->instances = std::move(view_instances);
@@ -471,9 +519,18 @@ ViewPlanner::PlanResult ViewPlanner::CostCertify(
     const std::vector<Atom>& filter_atoms, const ConjunctiveQuery& minimized,
     const CachedPlan* entry, const Substitution& transport) const {
   ResourceGovernor* const governor = ResourceGovernor::Current();
+  const auto exhausted = [governor] {
+    return governor != nullptr && governor->exhausted();
+  };
   // Under an exhausted budget the optimizers abort and report SIZE_MAX
   // costs, so the pick degrades toward emission order but stays total.
+  // A node cap cuts searches short without exhausting the governor (the
+  // M3 renaming-safety test then turns every optional drop down), so only
+  // a costing with neither may be stored on the entry.
   Pick best = CostAndPick(call, rewritings, filter_atoms);
+  const bool complete_costing =
+      governor == nullptr ||
+      (!governor->exhausted() && governor->search_node_cap() == 0);
 
   // Certify the winner against the minimized core (the certificate covers
   // the logical plan; the M3 physical plan may execute a renamed variant,
@@ -492,9 +549,6 @@ ViewPlanner::PlanResult ViewPlanner::CostCertify(
     }
   }
   const bool reused = certificate.has_value();
-  const auto exhausted = [governor] {
-    return governor != nullptr && governor->exhausted();
-  };
   if (!reused && !exhausted()) {
     certificate =
         CertifyEquivalentRewriting(best.choice.logical, minimized,
@@ -523,10 +577,23 @@ ViewPlanner::PlanResult ViewPlanner::CostCertify(
                                   "certified");
     return out;
   }
-  if (cacheable && !reused) {
-    entry->StoreCertificate(
-        best.index,
-        TransportCertificate(*certificate, InvertRenaming(transport)));
+  const bool store_certificate = cacheable && !reused;
+  if (entry != nullptr && (store_certificate || complete_costing)) {
+    const Substitution to_canonical = InvertRenaming(transport);
+    EquivalenceCertificate canonical =
+        TransportCertificate(*certificate, to_canonical);
+    if (complete_costing) {
+      // Every later hit serves this pick instead of re-costing.
+      entry->StoreCostedChoice(
+          {.logical = to_canonical.Apply(best.choice.logical),
+           .certificate = canonical,
+           .physical = TransportPhysical(best.choice.physical, to_canonical),
+           .cost = best.choice.cost,
+           .greedy = best.greedy});
+    }
+    if (store_certificate) {
+      entry->StoreCertificate(best.index, std::move(canonical));
+    }
   }
   best.choice.certificate = std::move(*certificate);
   out.choice = std::move(best.choice);
@@ -614,6 +681,31 @@ ViewPlanner::PlanResult ViewPlanner::PlanViaCoreCover(
   return out;
 }
 
+std::optional<ViewPlanner::PlanResult> ViewPlanner::ServeCostedChoice(
+    const Call& call, const CachedPlan& entry,
+    const Substitution& transport) const {
+  const std::shared_ptr<const CostedChoice> stored = entry.costed_choice();
+  if (stored == nullptr) return std::nullopt;
+  TraceSpan span(call.trace, "certify");
+  // Transport is a pure renaming, but the verifier is cheap and
+  // search-free, so trust nothing.
+  EquivalenceCertificate cert =
+      TransportCertificate(stored->certificate, transport);
+  if (!VerifyCertificate(cert, call.vs.views)) return std::nullopt;
+  span.AddAttribute("reused_cached", true);
+  PlanChoice choice;
+  choice.logical = transport.Apply(stored->logical);
+  choice.physical = TransportPhysical(stored->physical, transport);
+  choice.cost = stored->cost;
+  choice.model = call.request.model;
+  choice.certificate = std::move(cert);
+  PlanResult out;
+  out.choice = std::move(choice);
+  out.status = PlanStatus::kOk;
+  out.degraded = stored->greedy;
+  return out;
+}
+
 ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
     const Call& call, const CachedPlan& entry,
     const Substitution& transport) const {
@@ -625,9 +717,15 @@ ViewPlanner::PlanResult ViewPlanner::PlanFromEntry(
     out.error = entry.error;
   } else if (!entry.has_rewriting) {
     out.status = PlanStatus::kNoRewriting;
+  } else if (std::optional<PlanResult> served =
+                 call.explain == nullptr
+                     ? ServeCostedChoice(call, entry, transport)
+                     : std::nullopt) {
+    out = std::move(*served);
   } else {
-    // Transport the cached logical rewritings into this query's variables
-    // and re-cost them against the CURRENT view instances.
+    // No complete costing is stored yet (or Explain, which reports every
+    // candidate): transport the cached rewritings into this query's
+    // variables and cost them against the snapshot's instances.
     std::vector<ConjunctiveQuery> rewritings;
     rewritings.reserve(entry.rewritings.size());
     for (const ConjunctiveQuery& r : entry.rewritings) {
@@ -668,11 +766,19 @@ std::optional<ViewPlanner::PlanResult> ViewPlanner::Run(Call call) const {
 
   std::optional<PlanResult> result;
   std::string_view disposition;
-  // Builtin comparison subgoals are outside the fingerprint/minimization
-  // machinery; such queries bypass the cache (and fail later checks exactly
-  // as they always did).
-  if (!options_.enable_cache || call.query.HasBuiltins()) {
-    disposition = options_.enable_cache ? "bypass" : "disabled";
+  if (std::string invalid = InvalidQueryReason(call.query); !invalid.empty()) {
+    // Rejected before canonicalization, the cache and CoreCover, each of
+    // which requires a safe, comparison-free query.
+    disposition = "bypass";
+    // Nothing was minimized; the explanation reports the query as given.
+    if (call.explain != nullptr) call.explain->minimized = call.query;
+    if (!call.cache_only) {
+      result.emplace();
+      result->status = PlanStatus::kInvalidQuery;
+      result->error = std::move(invalid);
+    }
+  } else if (!options_.enable_cache) {
+    disposition = "disabled";
     if (!call.cache_only) result = PlanViaCoreCover(call, nullptr);
   } else {
     std::optional<CanonicalQuery> canonicalized;
@@ -838,7 +944,7 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
   std::vector<std::unique_ptr<CanonicalQuery>> canon(queries.size());
   if (options_.enable_cache) {
     pool.ParallelFor(queries.size(), [&](size_t i) {
-      if (!queries[i].HasBuiltins()) {
+      if (InvalidQueryReason(queries[i]).empty()) {
         canon[i] = std::make_unique<CanonicalQuery>(
             CanonicalizeQuery(queries[i]));
       }
@@ -846,7 +952,7 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
   }
 
   // Group queries by canonical form (the cache key), first occurrence
-  // leading. Uncacheable queries form singleton groups.
+  // leading. Invalid queries (rejected by Run) form singleton groups.
   std::vector<std::vector<size_t>> groups;
   std::unordered_map<std::string_view, size_t> by_canonical;
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -875,9 +981,7 @@ std::vector<ViewPlanner::PlanResult> ViewPlanner::PlanMany(
 }
 
 void ViewPlanner::ReplaceViews(ViewSet views, Database view_instances) {
-  for (const View& v : views) {
-    VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
-  }
+  ValidateViews(views);
   // Serialize swaps so the (epoch bump, snapshot publish) pairs of two
   // concurrent calls cannot interleave: the published snapshot always
   // carries the cache's current epoch.
@@ -903,24 +1007,21 @@ void ViewPlanner::ReplaceViews(ViewSet views, Database view_instances) {
 }
 
 void ViewPlanner::AddViews(ViewSet added, Database added_instances) {
-  std::unordered_set<Symbol> added_heads;
-  for (const View& v : added) {
-    VBR_CHECK_MSG(v.IsSafe(), "unsafe view definition");
-    VBR_CHECK_MSG(added_heads.insert(v.head().predicate()).second,
-                  "AddViews: head predicate repeated within the added views");
-  }
   if (added.empty()) return;
+  // MergeFrom replaces a relation stored under the same name, so an
+  // instance that names no added view would swap a cataloged view's
+  // relation behind the cache's fences.
+  std::unordered_set<Symbol> added_heads;
+  for (const View& v : added) added_heads.insert(v.head().predicate());
+  for (Symbol relation : added_instances.Predicates()) {
+    VBR_CHECK_MSG(added_heads.count(relation) > 0,
+                  "AddViews: instance relation names no added view");
+  }
   // Serialized with ReplaceViews and other deltas: (fence, publish) pairs
   // must not interleave.
   std::lock_guard<std::mutex> replace_lock(replace_mu_);
   const std::shared_ptr<const ViewSnapshot> cur = CurrentSnapshot();
-  // Expansion resolves a head name to its first definition while
-  // Database::MergeFrom would replace the instance, so a reused name would
-  // serve plans over the wrong relation.
-  for (const View& v : cur->views) {
-    VBR_CHECK_MSG(added_heads.count(v.head().predicate()) == 0,
-                  "AddViews: head predicate already in the catalog");
-  }
+  ValidateViews(added, cur->views);
   std::vector<ViewSummary> changed;
   changed.reserve(added.size());
   for (const View& v : added) changed.push_back(SummarizeView(v));

@@ -49,6 +49,10 @@ enum class PlanStatus {
   // budget can also run out and still yield a plan: the result is then kOk
   // with `degraded` set.
   kBudgetExhausted,
+  // The query is outside the planner's input language: it is unsafe (a
+  // head variable occurs in no body subgoal) or has comparison subgoals.
+  // Rejected before any planning work; PlanResult::error says which.
+  kInvalidQuery,
 };
 
 const char* PlanStatusName(PlanStatus status);
@@ -68,10 +72,12 @@ const char* PlanStatusName(PlanStatus status);
 // Caching: CoreCover's logical output depends only on the query and the
 // view definitions, so the planner keeps a fingerprint-keyed plan cache
 // (see planner/plan_cache.h). Queries identical up to variable renaming and
-// subgoal reordering share one entry; on a hit the cached rewritings are
-// re-costed against the CURRENT view instances, so M2/M3 plans keep
-// tracking instance sizes. ReplaceViews() swaps the view set and
-// invalidates the cache by bumping its epoch.
+// subgoal reordering share one entry. The entry's first complete costing
+// stores its choice, and every later hit serves that choice: no delta that
+// could change the instances it was costed on leaves the entry servable.
+// ReplaceViews() swaps the view set and invalidates the cache by bumping
+// its epoch. Unsafe queries and queries with comparison subgoals are
+// rejected up front (PlanStatus::kInvalidQuery).
 //
 // Thread safety: every member function may be called concurrently with
 // every other, INCLUDING ReplaceViews. The view definitions, their
@@ -131,8 +137,8 @@ class ViewPlanner {
     // True if the logical plans came from the plan cache instead of a fresh
     // CoreCover run.
     bool cache_hit = false;
-    // Human-readable detail when status == kUnsupportedQueryTooLarge or
-    // kBudgetExhausted.
+    // Human-readable detail when status == kUnsupportedQueryTooLarge,
+    // kBudgetExhausted or kInvalidQuery.
     std::string error;
     // Which budget died and where (BudgetKind::kNone when none did).
     // Populated both for kBudgetExhausted and for degraded kOk results.
@@ -159,8 +165,8 @@ class ViewPlanner {
   struct Options {
     Options() { core_cover.max_rewritings = 64; }
 
-    // Knobs forwarded to CoreCover / CoreCoverStar: worker threads,
-    // view/tuple grouping, verification, and the rewriting cap
+    // Knobs forwarded to CoreCover / CoreCoverStar: view/tuple grouping,
+    // the candidate view index, verification, and the rewriting cap
     // (max_rewritings defaults to 64 here — the facade bounds the costing
     // loop tighter than the raw pipeline's 1024).
     CoreCoverOptions core_cover;
@@ -225,7 +231,8 @@ class ViewPlanner {
     PlanStatus status = PlanStatus::kNoRewriting;
     std::string error;
     CostModel model = CostModel::kM1;
-    // "hit", "miss", "bypass" (builtins skip the cache), or "disabled".
+    // "hit", "miss", "bypass" (an invalid query is rejected before the
+    // cache), or "disabled".
     std::string cache_disposition;
     ConjunctiveQuery query;
     // The minimized core the rewriting search ran on.
@@ -271,11 +278,10 @@ class ViewPlanner {
   PlanResult Plan(const ConjunctiveQuery& query, CostModel model) const;
 
   // Cache-only planning: Plan() that serves `query` only from the plan cache
-  // (re-costed and re-certified against current instances, under the
-  // request's budget) and returns nullopt on a miss WITHOUT running the
-  // rewriting search. The PlanningService's brown-out ladder uses this to
-  // keep serving warm traffic when the breaker has shed fresh planning work.
-  // Queries the cache cannot hold (builtins, cache disabled) always miss.
+  // (the entry's stored choice, re-verified) and returns nullopt on a miss
+  // WITHOUT running the rewriting search. The PlanningService's brown-out
+  // ladder uses this to keep serving warm traffic when the breaker has shed
+  // fresh planning work. Invalid queries and a disabled cache always miss.
   std::optional<PlanResult> TryPlanFromCache(
       const ConjunctiveQuery& query, const PlanRequestOptions& request,
       const TraceContext& trace = {}) const;
@@ -318,7 +324,10 @@ class ViewPlanner {
   // current numbering); `added_instances` holds their materialized
   // relations, merged into the snapshot's instance copy. A view's head
   // predicate names its relation, so it must be new: AddViews aborts on a
-  // head predicate already in the catalog or repeated within `added`.
+  // head predicate already in the catalog or repeated within `added`, and
+  // on an `added_instances` relation that is not the head of an added
+  // view. The constructor and ReplaceViews likewise abort on an unsafe
+  // view or on a head predicate that names two views.
   void AddViews(ViewSet added, Database added_instances);
   // RemoveViews drops every view whose HEAD PREDICATE name is listed
   // (with its instance relation) and returns how many views were dropped;
@@ -401,14 +410,23 @@ class ViewPlanner {
   // is also inserted into the cache.
   PlanResult PlanViaCoreCover(const Call& call,
                               const CanonicalQuery* canonical) const;
-  // Re-costs a cached entry; `transport` renames its canonical variables
-  // into the query's.
+  // Serves a cached entry; `transport` renames its canonical variables
+  // into the query's. A hit serves the entry's stored costed choice; only
+  // an entry without one, or Explain, costs the cached rewritings.
   PlanResult PlanFromEntry(const Call& call, const CachedPlan& entry,
                            const Substitution& transport) const;
+  // A plan from the entry's stored costed choice, in the query's variables
+  // with its certificate transported and re-verified; nullopt when the
+  // entry holds no choice yet or the certificate does not verify.
+  std::optional<PlanResult> ServeCostedChoice(
+      const Call& call, const CachedPlan& entry,
+      const Substitution& transport) const;
   // The step both paths share: costs the (non-empty) `rewritings`,
   // certifies the winner against `minimized` — reusing `entry`'s stored
   // certificate (along `transport`) when it re-verifies, else storing a
   // fresh one — and grace-certifies when the request budget died first.
+  // A costing that ran under neither an exhausted governor nor a node cap
+  // is stored on `entry` as its costed choice.
   PlanResult CostCertify(const Call& call,
                          const std::vector<ConjunctiveQuery>& rewritings,
                          const std::vector<Atom>& filter_atoms,

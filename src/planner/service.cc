@@ -391,7 +391,7 @@ void PlanningService::Serve(Request& request) {
   CostModel model = request.request.options.model;
   bool served = false;
   // Rung 3: cached-or-M1-only. Warm traffic is still answered (a cache hit
-  // re-costs but never searches, under the attempt's budget); cold traffic
+  // serves its entry's stored choice and never searches); cold traffic
   // is demoted to M1, the instance-independent model with the cheapest
   // costing loop.
   if (level >= 3) {

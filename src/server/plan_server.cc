@@ -63,6 +63,10 @@ net::PlanResponseFrame ToWire(const PlanningService::PlanResponse& response,
   if (response.status == PlanningService::ServiceStatus::kOk) {
     const ViewPlanner::PlanResult& result = response.result;
     frame.plan_status = static_cast<uint8_t>(result.status);
+    // An unsafe or comparison-bearing query is the client's error.
+    if (result.status == PlanStatus::kInvalidQuery) {
+      frame.status = WireStatus::kBadRequest;
+    }
     frame.cache_hit = result.cache_hit;
     frame.degraded = result.degraded;
     if (frame.error.empty()) frame.error = result.error;
@@ -81,7 +85,7 @@ net::PlanResponseFrame ToWire(const PlanningService::PlanResponse& response,
 int HttpCodeFor(const PlanningService::PlanResponse& response) {
   switch (response.status) {
     case PlanningService::ServiceStatus::kOk:
-      return 200;
+      return response.result.status == PlanStatus::kInvalidQuery ? 400 : 200;
     case PlanningService::ServiceStatus::kRejected:
       return response.reject_reason ==
                      PlanningService::RejectReason::kShuttingDown
@@ -830,6 +834,7 @@ void PlanServer::DebugLoop() {
     } else {
       const ViewPlanner::PlanExplanation explanation =
           service_->planner().Explain(*query, request);
+      if (explanation.status == PlanStatus::kInvalidQuery) code = 400;
       body = explanation.ToJson();
     }
     std::string wire =

@@ -60,6 +60,33 @@ TEST(DatabaseTest, TotalRowsAndPredicates) {
   EXPECT_EQ(SymbolTable::Global().NameOf(preds[0]), "a_rel");
 }
 
+// Copies share relations until one writes; a write in either direction
+// stays in the database it was made through.
+TEST(DatabaseTest, CopiesShareRelationsUntilAWrite) {
+  Database original;
+  original.AddRow("r", {1});
+  original.AddRow("s", {1});
+  const Symbol r = SymbolTable::Global().Intern("r");
+  const Symbol s = SymbolTable::Global().Intern("s");
+
+  Database copy = original;
+  EXPECT_EQ(copy.Find(r), original.Find(r));
+  copy.AddRow("r", {2});
+  EXPECT_NE(copy.Find(r), original.Find(r));
+  EXPECT_EQ(original.Find(r)->size(), 1u);
+  EXPECT_EQ(copy.Find(r)->size(), 2u);
+
+  original.AddRow("s", {2});
+  EXPECT_EQ(original.Find(s)->size(), 2u);
+  EXPECT_EQ(copy.Find(s)->size(), 1u);
+
+  Database merged;
+  merged.MergeFrom(copy);
+  EXPECT_EQ(merged.Find(r), copy.Find(r));
+  EXPECT_TRUE(copy.Remove(r));
+  EXPECT_EQ(merged.Find(r)->size(), 2u);
+}
+
 TEST(DatabaseDeathTest, ArityMismatchAborts) {
   Database db;
   db.AddRow("r", {1, 2});

@@ -1,13 +1,16 @@
 // Metamorphic plan-cache tests: a query and any variable-renamed,
 // subgoal-reordered variant of it are the SAME query, so
-//   1. the variants must hit the fingerprint cache, and
+//   1. the variants must hit the fingerprint cache,
 //   2. a hit-path plan must compute exactly the answer the cold path
 //      computes, evaluated over the query's canonical database (whose
 //      frozen body makes the query's own answer non-empty, so the
-//      comparison is never vacuous).
+//      comparison is never vacuous), and
+//   3. a hit served from the entry's stored costed choice must be the plan
+//      a cache-disabled planner computes for the variant.
 
 #include <algorithm>
 #include <random>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -111,6 +114,55 @@ TEST_P(PlanCacheMetamorphicTest, HitPathPlansEvaluateLikeColdPathPlans) {
     EXPECT_FALSE(hit_answer.SortedRows().empty());
   }
   EXPECT_EQ(warmup.status, warm.Plan(w.query, CostModel::kM2).status);
+}
+
+// The first Plan stores its costed choice; every variant after it is served
+// that choice, and must get the plan a cache-disabled planner computes for
+// the variant. For a renamed variant that is the same status, cost and
+// logical text, and under M1/M2 the same physical plan byte for byte (M3
+// plans mint fresh variables on every costing, so there the join order and
+// the executed answer must agree). A renamed, reordered variant gets the
+// same status, cost and answer: CoreCover lists a rewriting's subgoals in
+// the query's subgoal order, and the canonical labeling may transport a
+// rewriting along an automorphism of the query, so its text may differ
+// (on every hit, stored choice or not).
+TEST_P(PlanCacheMetamorphicTest, StoredChoiceMatchesAFreshPlannerPerModel) {
+  const Workload w = GenerateWorkload(ConfigForSeed(GetParam()));
+  const Database instances = ViewInstancesOverCanonicalDb(w);
+  ViewPlanner::Options cold_options;
+  cold_options.enable_cache = false;
+  const ViewPlanner cold(w.views, instances, cold_options);
+  const ViewPlanner warm(w.views, instances);
+
+  std::mt19937 rng(GetParam() + 2000);
+  for (CostModel model : {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+    EXPECT_FALSE(warm.Plan(w.query, model).cache_hit);
+    for (int round = 0; round < kVariantRounds; ++round) {
+      const bool reordered = round % 2 == 1;
+      const ConjunctiveQuery variant =
+          reordered ? Variant(w.query, rng, round)
+                    : RenameVariablesApart(
+                          w.query, "rv" + std::to_string(round));
+      const auto hit = warm.Plan(variant, model);
+      const auto fresh = cold.Plan(variant, model);
+      EXPECT_TRUE(hit.cache_hit);
+      ASSERT_EQ(hit.status, fresh.status) << variant.ToString();
+      EXPECT_EQ(hit.degraded, fresh.degraded);
+      if (!hit.ok()) continue;
+      EXPECT_EQ(hit.choice->cost, fresh.choice->cost) << variant.ToString();
+      EXPECT_EQ(warm.Execute(*hit.choice).SortedRows(),
+                cold.Execute(*fresh.choice).SortedRows());
+      if (reordered) continue;
+      EXPECT_EQ(hit.choice->logical.ToString(),
+                fresh.choice->logical.ToString());
+      if (model != CostModel::kM3) {
+        EXPECT_EQ(hit.choice->physical.ToString(),
+                  fresh.choice->physical.ToString());
+      } else {
+        EXPECT_EQ(hit.choice->physical.order, fresh.choice->physical.order);
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PlanCacheMetamorphicTest,

@@ -150,5 +150,47 @@ TEST(PlannerErrorPathsTest, WideRewritingPlansAndExplainsUnderEveryModel) {
   }
 }
 
+// Both parse, but CoreCover can plan neither: an unsafe query (Y2 occurs in
+// no body subgoal; minimizing it aborted) and a comparison (CoreCover
+// aborted on it). Every entry point answers kInvalidQuery and caches nothing.
+TEST(PlannerErrorPathsTest, InvalidQueriesGetAStatusFromEveryEntry) {
+  const std::vector<ConjunctiveQuery> invalid = {
+      MustParseQuery("q(X,Y2) :- p0(X,Y)."),
+      MustParseQuery("q(X,Y) :- p0(X,Y), X != Y.")};
+  ViewPlanner::Options uncached;
+  uncached.enable_cache = false;
+  const ViewPlanner cached_planner(SmallViews(), Database{});
+  const ViewPlanner uncached_planner(SmallViews(), Database{}, uncached);
+  for (const ViewPlanner* planner : {&cached_planner, &uncached_planner}) {
+    for (const ConjunctiveQuery& query : invalid) {
+      for (CostModel model :
+           {CostModel::kM1, CostModel::kM2, CostModel::kM3}) {
+        const auto result = planner->Plan(query, model);
+        EXPECT_EQ(result.status, PlanStatus::kInvalidQuery)
+            << query.ToString();
+        EXPECT_FALSE(result.error.empty());
+        EXPECT_FALSE(result.choice.has_value());
+      }
+      EXPECT_FALSE(
+          planner->TryPlanFromCache(query, {.model = CostModel::kM2})
+              .has_value());
+      const auto explanation = planner->Explain(query, {});
+      EXPECT_EQ(explanation.status, PlanStatus::kInvalidQuery);
+      EXPECT_EQ(explanation.cache_disposition, "bypass");
+      EXPECT_NE(explanation.ToJson().find("invalid query"),
+                std::string::npos);
+    }
+    const auto batch = planner->PlanMany(
+        {invalid[0], MustParseQuery("q(X,Y) :- p0(X,Y)."), invalid[1]},
+        {.model = CostModel::kM2});
+    ASSERT_EQ(batch.size(), 3u);
+    EXPECT_EQ(batch[0].status, PlanStatus::kInvalidQuery);
+    EXPECT_EQ(batch[1].status, PlanStatus::kOk);
+    EXPECT_EQ(batch[2].status, PlanStatus::kInvalidQuery);
+  }
+  EXPECT_EQ(cached_planner.cache_size(), 1u);  // the one valid query
+  EXPECT_EQ(cached_planner.cache_counters().misses, 1u);
+}
+
 }  // namespace
 }  // namespace vbr

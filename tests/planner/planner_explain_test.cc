@@ -115,7 +115,10 @@ TEST(PlannerTraceTest, WarmPlanTracesTheHitPathWithoutCoreCover) {
   EXPECT_TRUE(result.cache_hit);
   const auto names = SpanNames(sink);
   EXPECT_EQ(names.count("core_cover"), 0u);
-  EXPECT_GE(names.count("cost_and_pick"), 1u);
+  // The miss stored its costed choice, so the hit costs nothing.
+  EXPECT_EQ(names.count("cost_and_pick"), 0u);
+  EXPECT_EQ(names.count("optimize_m2"), 0u);
+  EXPECT_EQ(names.count("certify"), 1u);
   const auto spans = sink.spans();
   const TraceEvent* plan = FindSpan(spans, "plan");
   ASSERT_NE(plan, nullptr);

@@ -131,6 +131,55 @@ TEST(SnapshotTest, WarmStartServesByteIdenticalPlansFromRequestOne) {
   std::remove(path.c_str());
 }
 
+// Stored costed choices live in memory only. A snapshot saved after hits
+// that were served stored choices holds the same bytes as one saved before
+// any hit, and a restarted planner's first hit (which costs and stores)
+// and second hit (served that choice) are the pre-restart hits, physical
+// plans included.
+TEST(SnapshotTest, StoredChoicesStayOutOfSnapshotsAndWarmStartsMatch) {
+  const ViewSet views = CarLocPartViews();
+  const Database instances = MaterializeViews(views, CarLocPartBase());
+  const std::vector<SnapshotCase> cases = SnapshotCases();
+
+  ViewPlanner before(views, instances);
+  for (const SnapshotCase& c : cases) {
+    ASSERT_TRUE(before.Plan(c.query, c.model).ok());
+  }
+  const std::string cold_path = TempPath("stored_choice_cold.vbin");
+  ASSERT_TRUE(before.SaveSnapshot(cold_path).ok());
+  std::vector<ViewPlanner::PlanResult> hits;
+  for (const SnapshotCase& c : cases) {
+    ASSERT_TRUE(before.Plan(c.query, c.model).cache_hit);
+    hits.push_back(before.Plan(c.query, c.model));
+  }
+  const std::string warm_path = TempPath("stored_choice_warm.vbin");
+  ASSERT_TRUE(before.SaveSnapshot(warm_path).ok());
+  std::string cold_bytes;
+  std::string warm_bytes;
+  ASSERT_TRUE(vbin::ReadWholeFile(cold_path, &cold_bytes).ok());
+  ASSERT_TRUE(vbin::ReadWholeFile(warm_path, &warm_bytes).ok());
+  EXPECT_EQ(cold_bytes, warm_bytes);
+
+  ViewPlanner after(views, instances);
+  ASSERT_TRUE(after.LoadSnapshot(warm_path).ok());
+  for (size_t i = 0; i < cases.size(); ++i) {
+    for (int round = 0; round < 2; ++round) {
+      const auto warm = after.Plan(cases[i].query, cases[i].model);
+      EXPECT_TRUE(warm.cache_hit) << "case " << i;
+      ASSERT_TRUE(warm.ok()) << warm.error;
+      EXPECT_TRUE(IdentityOf(warm) == IdentityOf(hits[i])) << "case " << i;
+      EXPECT_EQ(warm.choice->cost, hits[i].choice->cost);
+      if (cases[i].model != CostModel::kM3) {
+        EXPECT_EQ(warm.choice->physical.ToString(),
+                  hits[i].choice->physical.ToString())
+            << "case " << i;
+      }
+    }
+  }
+  std::remove(cold_path.c_str());
+  std::remove(warm_path.c_str());
+}
+
 TEST(SnapshotTest, NegativeOutcomesAreSnapshottedToo) {
   // A query with no rewriting over these views: the cached kNoRewriting
   // entry must survive the round trip so the warm planner skips the

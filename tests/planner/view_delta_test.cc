@@ -74,6 +74,33 @@ TEST(ViewDeltaDeathTest, AddViewsRejectsAHeadRepeatedWithinTheBatch) {
                "repeated within the added views");
 }
 
+// An instance relation merges over any relation of the same name, so one
+// that names a cataloged view would swap that view's instance without a
+// fence.
+TEST(ViewDeltaDeathTest, AddViewsRejectsAnInstanceNamingNoAddedView) {
+  ViewPlanner planner({MustParseQuery("v0(A) :- e(A,B)")}, Database{});
+  Database instances;
+  instances.AddRow("v0", {1});
+  EXPECT_DEATH(
+      planner.AddViews({MustParseQuery("w1(A) :- f(A,B)")}, instances),
+      "instance relation names no added view");
+}
+
+TEST(ViewDeltaDeathTest, ConstructorRejectsAHeadNamingTwoViews) {
+  EXPECT_DEATH(ViewPlanner({MustParseQuery("v0(A) :- e(A,B)"),
+                            MustParseQuery("v0(A) :- f(A,B)")},
+                           Database{}),
+               "repeated within the added views");
+}
+
+TEST(ViewDeltaDeathTest, ReplaceViewsRejectsAHeadNamingTwoViews) {
+  ViewPlanner planner(BaseViews(), Database{});
+  EXPECT_DEATH(planner.ReplaceViews({MustParseQuery("v0(A) :- e(A,B)"),
+                                     MustParseQuery("v0(A) :- f(A,B)")},
+                                    Database{}),
+               "repeated within the added views");
+}
+
 TEST(ViewDeltaTest, AddedViewImprovesTheCachedPlan) {
   ViewPlanner planner(BaseViews(), Database{});
   const auto before = planner.Plan(TestQuery(), CostModel::kM1);

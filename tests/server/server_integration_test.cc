@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <chrono>
 #include <memory>
 #include <string>
@@ -556,6 +557,59 @@ TEST(PlanServerTest, HttpConnectionCloseAfterPlanFlushStaysClean) {
   EXPECT_EQ(fx.server->stats().active_connections, 0u);
 }
 
+// Blocking single HTTP round trip over an already-open connection: returns
+// once the headers and the declared body length have arrived.
+bool HttpRoundTrip(int fd, const std::string& request_text,
+                   std::string* response_out) {
+  if (!net::WriteAll(fd, request_text.data(), request_text.size())) {
+    return false;
+  }
+  std::string response;
+  char chunk[8192];
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (std::chrono::steady_clock::now() < deadline) {
+    // A complete response has headers plus the declared body length.
+    const size_t body_at = response.find("\r\n\r\n");
+    if (body_at != std::string::npos) {
+      const size_t content_at = response.find("Content-Length: ");
+      if (content_at != std::string::npos && content_at < body_at) {
+        const size_t len = static_cast<size_t>(
+            std::atoll(response.c_str() + content_at + 16));
+        if (response.size() >= body_at + 4 + len) {
+          *response_out = response;
+          return true;
+        }
+      }
+    }
+    const net::IoResult r = net::ReadSome(fd, chunk, sizeof(chunk));
+    if (r.status == net::IoStatus::kOk) {
+      response.append(chunk, r.n);
+    } else if (r.status == net::IoStatus::kWouldBlock) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } else {
+      return false;
+    }
+  }
+  return false;
+}
+
+// Percent-encodes everything but letters and digits (a query parameter).
+std::string UrlEncode(const std::string& text) {
+  static const char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  for (unsigned char c : text) {
+    if (std::isalnum(c)) {
+      out += static_cast<char>(c);
+    } else {
+      out += '%';
+      out += kHex[c >> 4];
+      out += kHex[c & 15];
+    }
+  }
+  return out;
+}
+
 TEST(PlanServerTest, HttpPlanAndHealthEndpointsAnswerOverRawSockets) {
   ServerFixture fx(26);
   std::string error;
@@ -563,51 +617,17 @@ TEST(PlanServerTest, HttpPlanAndHealthEndpointsAnswerOverRawSockets) {
       net::ConnectTcp("127.0.0.1", fx.server->http_port(), &error);
   ASSERT_TRUE(fd.valid()) << error;
 
-  auto http_round_trip = [&fd](const std::string& request_text,
-                               std::string* response_out) {
-    if (!net::WriteAll(fd.get(), request_text.data(), request_text.size())) {
-      return false;
-    }
-    std::string response;
-    char chunk[8192];
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (std::chrono::steady_clock::now() < deadline) {
-      // A complete response has headers plus the declared body length.
-      const size_t body_at = response.find("\r\n\r\n");
-      if (body_at != std::string::npos) {
-        const size_t content_at = response.find("Content-Length: ");
-        if (content_at != std::string::npos && content_at < body_at) {
-          const size_t len = static_cast<size_t>(
-              std::atoll(response.c_str() + content_at + 16));
-          if (response.size() >= body_at + 4 + len) {
-            *response_out = response;
-            return true;
-          }
-        }
-      }
-      const net::IoResult r = net::ReadSome(fd.get(), chunk, sizeof(chunk));
-      if (r.status == net::IoStatus::kOk) {
-        response.append(chunk, r.n);
-      } else if (r.status == net::IoStatus::kWouldBlock) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      } else {
-        return false;
-      }
-    }
-    return false;
-  };
-
   std::string response;
-  ASSERT_TRUE(http_round_trip(
-      "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", &response));
+  ASSERT_TRUE(HttpRoundTrip(
+      fd.get(), "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n", &response));
   EXPECT_NE(response.find("HTTP/1.1 200"), std::string::npos);
   EXPECT_NE(response.find("\"status\":\"ok\""), std::string::npos);
 
   const std::string body = "{\"query\":\"" + fx.workload.query.ToString() +
                            "\",\"options\":{\"model\":\"m2\"}}";
   response.clear();
-  ASSERT_TRUE(http_round_trip(
+  ASSERT_TRUE(HttpRoundTrip(
+      fd.get(),
       "POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: " +
           std::to_string(body.size()) + "\r\n\r\n" + body,
       &response));
@@ -616,10 +636,72 @@ TEST(PlanServerTest, HttpPlanAndHealthEndpointsAnswerOverRawSockets) {
 
   // Same connection (keep-alive), a malformed body answers 400.
   response.clear();
-  ASSERT_TRUE(http_round_trip(
+  ASSERT_TRUE(HttpRoundTrip(
+      fd.get(),
       "POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: 3\r\n\r\nxxx",
       &response));
   EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos);
+}
+
+// Both parse, but neither can be planned: the first is unsafe (Z occurs in
+// no body subgoal), the second has a comparison. Each port answers a bad
+// request, and the server keeps serving.
+TEST(PlanServerTest, InvalidQueriesAreBadRequestsOnBothPorts) {
+  ServerFixture fx(27);
+  const std::vector<std::string> invalid = {
+      "q(S,Z) :- car(M,D), loc(D,C), part(S,M,C).",
+      "q(S,C) :- car(M,D), loc(D,C), part(S,M,C), S != C."};
+  std::string error;
+  net::OwnedFd wire =
+      net::ConnectTcp("127.0.0.1", fx.server->binary_port(), &error);
+  ASSERT_TRUE(wire.valid()) << error;
+  net::OwnedFd http =
+      net::ConnectTcp("127.0.0.1", fx.server->http_port(), &error);
+  ASSERT_TRUE(http.valid()) << error;
+  std::string buffer;
+  uint64_t request_id = 0;
+  for (const std::string& text : invalid) {
+    net::PlanRequestFrame request;
+    request.request_id = ++request_id;
+    request.query_text = text;
+    request.options.model = CostModel::kM2;
+    net::PlanResponseFrame response;
+    ASSERT_TRUE(RoundTrip(wire.get(), request, &response, &buffer)) << text;
+    EXPECT_EQ(response.status, WireStatus::kBadRequest) << text;
+    EXPECT_EQ(response.request_id, request_id);
+    EXPECT_FALSE(response.error.empty());
+
+    const std::string body =
+        "{\"query\":\"" + text + "\",\"options\":{\"model\":\"m2\"}}";
+    std::string reply;
+    ASSERT_TRUE(HttpRoundTrip(
+        http.get(),
+        "POST /plan HTTP/1.1\r\nHost: t\r\nContent-Length: " +
+            std::to_string(body.size()) + "\r\n\r\n" + body,
+        &reply));
+    EXPECT_NE(reply.find("HTTP/1.1 400"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("invalid query"), std::string::npos) << reply;
+
+    reply.clear();
+    ASSERT_TRUE(HttpRoundTrip(http.get(),
+                              "GET /explain?q=" + UrlEncode(text) +
+                                  " HTTP/1.1\r\nHost: t\r\n\r\n",
+                              &reply));
+    EXPECT_NE(reply.find("HTTP/1.1 400"), std::string::npos) << reply;
+    EXPECT_NE(reply.find("invalid query"), std::string::npos) << reply;
+  }
+
+  std::string reply;
+  ASSERT_TRUE(HttpRoundTrip(http.get(),
+                            "GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n",
+                            &reply));
+  EXPECT_NE(reply.find("HTTP/1.1 200"), std::string::npos);
+  net::PlanRequestFrame valid;
+  valid.request_id = ++request_id;
+  valid.query_text = fx.workload.query.ToString();
+  net::PlanResponseFrame response;
+  ASSERT_TRUE(RoundTrip(wire.get(), valid, &response, &buffer));
+  EXPECT_EQ(response.status, WireStatus::kOk) << response.error;
 }
 
 }  // namespace

@@ -620,5 +620,28 @@ TEST_F(StressHarnessTest, DestructorDrainsOutstandingRequests) {
   }
 }
 
+// Both parse, but neither can be planned: the first is unsafe (Z occurs in
+// no body subgoal), the second has a comparison. The service answers each
+// with the planner's kInvalidQuery instead of aborting, and keeps serving.
+TEST_F(StressHarnessTest, InvalidQueriesGetAStatusAndServingContinues) {
+  ServiceFixture fx(11);
+  PlanningService service(fx.planner.get(), SerialServiceOptions());
+  for (const char* text :
+       {"q(S,Z) :- car(M,D), loc(D,C), part(S,M,C).",
+        "q(S,C) :- car(M,D), loc(D,C), part(S,M,C), S != C."}) {
+    const auto response =
+        service.Plan({MustParseQuery(text), {.model = CostModel::kM2}});
+    EXPECT_EQ(response.status, ServiceStatus::kOk) << text;
+    EXPECT_EQ(response.result.status, PlanStatus::kInvalidQuery) << text;
+    EXPECT_FALSE(response.result.error.empty());
+  }
+  const auto valid =
+      service.Plan({fx.workload.query, {.model = CostModel::kM2}});
+  EXPECT_EQ(valid.status, ServiceStatus::kOk);
+  const auto stats = service.stats();
+  EXPECT_EQ(stats.completed, 3u);
+  ExpectInvariants(stats);
+}
+
 }  // namespace
 }  // namespace vbr
